@@ -3,11 +3,12 @@
 Two independent enumerators are provided and must agree everywhere:
 
 * ``net_occurrences_bruteforce`` — definition-driven oracle. For each start
-  position it finds the largest repeated substring beginning there (binary
-  search on a monotone predicate, probed with C-speed scans) and then checks
-  the definition directly on that single candidate. One candidate per start
-  suffices: a shorter candidate has a repeated right extension, so it cannot
-  be a net occurrence, and a longer one is not repeated at all.
+  position it finds the largest repeated substring beginning there and then
+  checks the definition directly on that single candidate. One candidate per
+  start suffices: a shorter candidate has a repeated right extension, so it
+  cannot be a net occurrence, and a longer one is not repeated at all. The
+  lengths come from one forward scan of C-speed repeat probes, at most 2n
+  probes for a text of length n (see the function's docstring).
 * ``net_occurrences_indexed`` — suffix-array route. It computes, for every
   suffix, the maximum common prefix with any other suffix (adjacent maxima of
   the LCP array) and reads the net occurrences off that table without any
@@ -50,38 +51,35 @@ def _record(text: str, occ: Occurrence) -> NetOccurrenceRecord:
     )
 
 
-def _max_repeated_prefix_len(text: str, start0: int) -> int:
-    """Largest L such that text[start0:start0+L] occurs at least twice.
-
-    Monotone in L, so binary search; each probe is a pair of C-level scans
-    (first and last occurrence differ iff the substring is repeated).
-    """
-    lo, hi = 0, len(text) - start0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        sub = text[start0 : start0 + mid]
-        if text.find(sub) != text.rfind(sub):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def net_occurrences_bruteforce(text: str) -> list[NetOccurrenceRecord]:
     """All net occurrences, checked against the definition, sorted by start.
 
     A net occurrence starting at s must cover exactly the longest repeated
     substring starting there, so each start yields at most one candidate;
     the candidate is then verified letter-for-letter.
+
+    The longest repeated length R[s] is found by probing whether a substring
+    is repeated (its first and last occurrences differ). Dropping the first
+    letter of a repeated substring leaves a repeated substring, so
+    R[s] >= R[s-1] - 1: each start resumes from R[s-1] - 1 and extends one
+    letter at a time. Every probe either extends or ends a start, so the
+    scan makes at most 2n probes in total.
     """
     if not text:
         raise ValueError("net_occurrences_bruteforce: empty text")
+    n = len(text)
     out = []
-    for s in range(1, len(text) + 1):
-        length = _max_repeated_prefix_len(text, s - 1)
+    length = 0
+    for s0 in range(n):
+        length = max(length - 1, 0)
+        while s0 + length < n:
+            sub = text[s0 : s0 + length + 1]
+            if text.find(sub) == text.rfind(sub):
+                break
+            length += 1
         if length == 0:
             continue
-        occ = Occurrence(s, s + length - 1)
+        occ = Occurrence(s0 + 1, s0 + length)
         if is_net_occurrence(text, occ):
             out.append(_record(text, occ))
     return out

@@ -110,10 +110,19 @@ def enumerate_bridging_supers(text: str, bnso: Occurrence) -> list[Occurrence]:
     ]
 
 
-def prove_completeness(text: str, cover: Cover | Sequence[Occurrence]) -> CompletenessReport:
+def prove_completeness(
+    text: str,
+    cover: Cover | Sequence[Occurrence],
+    net_occs: Sequence[Occurrence] | None = None,
+) -> CompletenessReport:
     """Validate a cover, enumerate the bridging super-occurrences of all its
     BNSOs, flag any that are net occurrences, and cross-check against the
-    brute-force enumerator. Invalid covers are reported, not raised."""
+    brute-force enumerator. Invalid covers are reported, not raised.
+
+    ``net_occs`` is the text's net occurrences from the brute-force
+    enumerator, for a caller that already holds them; without it the
+    enumerator is run here.
+    """
     members = _members(cover)
     n = len(text)
     in_bounds = bool(members) and all(occ.end <= n for occ in members)
@@ -122,7 +131,9 @@ def prove_completeness(text: str, cover: Cover | Sequence[Occurrence]) -> Comple
         and _chain_ok(text, members)
         and all(is_net_occurrence(text, occ) for occ in members)
     )
-    oracle = tuple(rec.occurrence for rec in net_occurrences_bruteforce(text))
+    if net_occs is None:
+        net_occs = [rec.occurrence for rec in net_occurrences_bruteforce(text)]
+    oracle = tuple(sorted(net_occs))
     bnsos: tuple[Occurrence, ...] = ()
     offenders: list[Occurrence] = []
     if valid:

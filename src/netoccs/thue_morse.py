@@ -38,9 +38,9 @@ from .reports import ClaimResult
 from .words import (
     Factorization,
     FactorRef,
-    flip_word,
     lit_ref,
     tm_flip_ref,
+    tm_flip_word,
     tm_length,
     tm_ref,
     tm_word,
@@ -245,7 +245,7 @@ def check_tm_identities(i: int) -> dict[str, ClaimResult]:
     t2 = tm_word(i - 2)
     t3 = tm_word(i - 3)
     t4 = tm_word(i - 4)
-    f2, f3, f4 = flip_word(t2), flip_word(t3), flip_word(t4)
+    f2, f3, f4 = tm_flip_word(i - 2), tm_flip_word(i - 3), tm_flip_word(i - 4)
     claims = {
         "quarter_split": ClaimResult(word == t2 + f2 + f2 + t2),
         "five_block_split": ClaimResult(word == t2 + f3 + t2 + t3 + t2),
@@ -277,8 +277,8 @@ class SmallestFactorization:
     j: int
 
     def target_word(self) -> str:
-        base = tm_word(self.i - self.j)
-        return base if self.kind == "A" else flip_word(base)
+        order = self.i - self.j
+        return tm_word(order) if self.kind == "A" else tm_flip_word(order)
 
     def to_json_dict(self) -> dict:
         return {
@@ -307,7 +307,7 @@ def _splice(x: tuple[FactorRef, ...], y: tuple[FactorRef, ...], i: int, j: int) 
     """Join two factor lists whose touching factors both resolve to the
     flipped order-(i-j) word, replacing that pair by three factors that
     spell the same letters with the target word in the middle."""
-    boundary = flip_word(tm_word(i - j))
+    boundary = tm_flip_word(i - j)
     if not x or not y or x[-1].resolve() != boundary or y[0].resolve() != boundary:
         raise ValueError("splice: touching factors are not both the flipped target")
     middle = (tm_flip_ref(i - j - 1), tm_ref(i - j), tm_ref(i - j - 1))
@@ -385,8 +385,7 @@ def validate_smallest_factorization(i: int, j: int, kind: str, fac) -> bool:
     word = tm_word(i)
     if factorization.flatten() != word:
         raise ValueError("validate_smallest_factorization: input does not flatten to the host word")
-    base = tm_word(i - j)
-    target = base if kind == "A" else flip_word(base)
+    target = tm_word(i - j) if kind == "A" else tm_flip_word(i - j)
     texts = [f.resolve() for f in factorization.factors]
     starts = factorization.factor_starts()
     placed = {starts[k] for k, t in enumerate(texts) if t == target}
@@ -401,11 +400,10 @@ def factorization_basis_ok(fac: SmallestFactorization) -> bool:
     """Every factor resolves to the order-(i-j) word, the order-(i-j-1)
     word, or one of their flips (only defined members count at the last
     offset, where the lower order would be 0)."""
-    high = tm_word(fac.i - fac.j)
-    basis = {high, flip_word(high)}
-    if fac.i - fac.j - 1 >= 1:
-        low = tm_word(fac.i - fac.j - 1)
-        basis |= {low, flip_word(low)}
+    high = fac.i - fac.j
+    basis = {tm_word(high), tm_flip_word(high)}
+    if high > 1:
+        basis |= {tm_word(high - 1), tm_flip_word(high - 1)}
     return all(f.resolve() in basis for f in fac.factorization.factors)
 
 
@@ -416,5 +414,5 @@ def factorization_boundary_ok(fac: SmallestFactorization) -> bool:
     if not factors:
         return False
     head = tm_word(fac.i - fac.j)
-    tail = head if fac.j % 2 == 0 else flip_word(head)
+    tail = head if fac.j % 2 == 0 else tm_flip_word(fac.i - fac.j)
     return factors[0].resolve() == head and factors[-1].resolve() == tail

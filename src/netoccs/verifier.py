@@ -39,7 +39,7 @@ from .thue_morse import (
     smallest_factorization,
     validate_smallest_factorization,
 )
-from .words import fib_word, flip_word, tm_word
+from .words import fib_word, tm_flip_word, tm_word
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,34 @@ class VerificationReport:
 
 def _pairs(occs: Iterable[Occurrence]) -> list[list[int]]:
     return [[o.start, o.end] for o in occs]
+
+
+def _net_occurrence_claims(word: str, predicted: tuple[Occurrence, ...]) -> dict[str, ClaimResult]:
+    """The claims on a word's net occurrences, from one oracle run: they
+    match the prediction, the prediction is a complete ONOC, and the
+    indexed engine agrees with the oracle."""
+    records = net_occurrences_bruteforce(word)
+    actual = tuple(r.occurrence for r in records)
+    match = actual == predicted
+    completeness = prove_completeness(word, predicted, actual)
+    indexed = net_occurrences_indexed(word)
+    agree = indexed == records
+    return {
+        "net_occurrences_match_prediction": ClaimResult(
+            match, witness=None if match else {"actual": _pairs(actual), "predicted": _pairs(predicted)}
+        ),
+        "prediction_is_onoc": ClaimResult(is_onoc(word, predicted)),
+        "cover_complete": ClaimResult(
+            completeness.complete(),
+            witness=None if completeness.complete() else completeness.to_json_dict(),
+        ),
+        "engines_agree": ClaimResult(
+            agree,
+            witness=None
+            if agree
+            else {"indexed": _pairs(r.occurrence for r in indexed), "oracle": _pairs(actual)},
+        ),
+    }
 
 
 def _fib_order_claims(i: int) -> dict[str, ClaimResult]:
@@ -101,30 +129,7 @@ def _fib_order_claims(i: int) -> dict[str, ClaimResult]:
         witness=[k for k, c in lemmas.items() if not c.passed] or None,
     )
 
-    records = net_occurrences_bruteforce(word)
-    actual = tuple(r.occurrence for r in records)
-    predicted = predicted_fib_net_occurrences(i)
-    match = actual == predicted
-    claims["net_occurrences_match_prediction"] = ClaimResult(
-        match, witness=None if match else {"actual": _pairs(actual), "predicted": _pairs(predicted)}
-    )
-
-    claims["prediction_is_onoc"] = ClaimResult(is_onoc(word, predicted))
-
-    completeness = prove_completeness(word, predicted)
-    claims["cover_complete"] = ClaimResult(
-        completeness.complete(),
-        witness=None if completeness.complete() else completeness.to_json_dict(),
-    )
-
-    indexed = net_occurrences_indexed(word)
-    agree = indexed == records
-    claims["engines_agree"] = ClaimResult(
-        agree,
-        witness=None
-        if agree
-        else {"indexed": _pairs(r.occurrence for r in indexed), "oracle": _pairs(actual)},
-    )
+    claims.update(_net_occurrence_claims(word, predicted_fib_net_occurrences(i)))
     return claims
 
 
@@ -135,9 +140,8 @@ def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
     set_bad = []
     for j in range(0, i - 1):
         sets = ab_sets(i, j)
-        target = tm_word(i - j)
-        if sets.a_set != find_occurrences(target, word) or sets.b_set != find_occurrences(
-            flip_word(target), word
+        if sets.a_set != find_occurrences(tm_word(i - j), word) or sets.b_set != find_occurrences(
+            tm_flip_word(i - j), word
         ):
             set_bad.append(j)
     claims["occurrence_sets_match_oracle"] = ClaimResult(not set_bad, witness=set_bad or None)
@@ -169,21 +173,7 @@ def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
         witness=[k for k, c in idents.items() if not c.passed] or None,
     )
 
-    records = net_occurrences_bruteforce(word)
-    actual = tuple(r.occurrence for r in records)
-    predicted = predicted_tm_net_occurrences(i)
-    match = actual == predicted
-    claims["net_occurrences_match_prediction"] = ClaimResult(
-        match, witness=None if match else {"actual": _pairs(actual), "predicted": _pairs(predicted)}
-    )
-
-    claims["prediction_is_onoc"] = ClaimResult(is_onoc(word, predicted))
-
-    completeness = prove_completeness(word, predicted)
-    claims["cover_complete"] = ClaimResult(
-        completeness.complete(),
-        witness=None if completeness.complete() else completeness.to_json_dict(),
-    )
+    claims.update(_net_occurrence_claims(word, predicted_tm_net_occurrences(i)))
 
     fac_bad = []
     for j in range(0, i - 1):
@@ -198,15 +188,7 @@ def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
             ):
                 fac_bad.append([j, kind])
     claims["smallest_factorizations_valid"] = ClaimResult(not fac_bad, witness=fac_bad or None)
-
-    indexed = net_occurrences_indexed(word)
-    agree = indexed == records
-    claims["engines_agree"] = ClaimResult(
-        agree,
-        witness=None
-        if agree
-        else {"indexed": _pairs(r.occurrence for r in indexed), "oracle": _pairs(actual)},
-    )
+    claims["engines_agree"] = claims.pop("engines_agree")  # reported last, after the factorizations
     return claims
 
 

@@ -72,6 +72,12 @@ def tm_word(order: int) -> str:
     return prev + flip_word(prev)
 
 
+@lru_cache(maxsize=None)
+def tm_flip_word(order: int) -> str:
+    """Letterwise flip of the Thue-Morse word of the given order."""
+    return flip_word(tm_word(order))
+
+
 def tm_length(order: int) -> int:
     """Length of the Thue-Morse word of the given order: 2**(order-1)."""
     if order < 1:
@@ -129,7 +135,7 @@ class FactorRef:
         if self.kind == "TM":
             return tm_word(self.order)
         if self.kind == "TMflip":
-            return flip_word(tm_word(self.order))
+            return tm_flip_word(self.order)
         return self.text
 
     def flipped(self) -> "FactorRef":

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from netoccs.netfreq import (
@@ -16,6 +19,14 @@ import reference
 
 def occ_pairs(records):
     return [(r.occurrence.start, r.occurrence.end) for r in records]
+
+
+_rng = random.Random(20250502)
+# Seeded random texts, then the periodic texts whose long repeats make the
+# oracle's carried repeat length rise and fall the most.
+LONG_TEXTS = [
+    "".join(_rng.choice("ab") for _ in range(_rng.randint(1, 2000))) for _ in range(12)
+] + ["a" * 500, "ab" * 250, "aab" * 200]
 
 
 def test_fib7_net_occurrences():
@@ -74,6 +85,18 @@ def test_three_routes_agree(text):
     indexed = net_occurrences_indexed(text)
     assert oracle == indexed
     assert occ_pairs(oracle) == reference.net_occurrences(text)
+
+
+def test_oracle_matches_literal_reference_on_all_short_texts():
+    for length in range(1, 11):
+        for letters in product("ab", repeat=length):
+            text = "".join(letters)
+            assert occ_pairs(net_occurrences_bruteforce(text)) == reference.net_occurrences(text), text
+
+
+@pytest.mark.parametrize("text", LONG_TEXTS, ids=lambda t: f"{t[:3]}..{len(t)}")
+def test_oracle_matches_indexed_on_long_texts(text):
+    assert net_occurrences_bruteforce(text) == net_occurrences_indexed(text)
 
 
 def test_net_frequency_examples():

@@ -10,7 +10,7 @@ from netoccs.onoc import (
     is_onoc,
     prove_completeness,
 )
-from netoccs.words import fib_word
+from netoccs.words import fib_word, tm_word
 
 # Length-14 text found by exhaustive search (scripts/find_cover_witness.py):
 # its net occurrences form the chain below plus one extra net occurrence
@@ -128,6 +128,24 @@ def test_offenders_equal_literal_rectangle_scan(text):
             if is_net_occurrence(text, occ):
                 literal.add(occ)
     assert set(report.offending_supers) == literal
+
+
+@pytest.mark.parametrize(
+    "text",
+    [fib_word(i) for i in range(7, 13)] + [tm_word(i) for i in range(5, 10)] + [WITNESS_TEXT],
+    ids=lambda t: f"{t[:4]}..{len(t)}",
+)
+def test_prove_completeness_with_given_net_occurrences(text):
+    """Passing the net occurrences in gives the report the enumerator gives,
+    for valid and invalid covers alike."""
+    occs = [r.occurrence for r in net_occurrences_bruteforce(text)]
+    greedy = greedy_onoc(text, occs)
+    covers = [greedy, occs, greedy[:-1], [Occurrence(1, len(text))]]
+    for cover in covers:
+        expected = prove_completeness(text, cover)
+        assert prove_completeness(text, cover, occs) == expected
+        assert prove_completeness(text, cover, occs[::-1]) == expected
+    assert not prove_completeness(text, greedy[:-1], occs).cover_valid
 
 
 def test_greedy_onoc():

@@ -1,6 +1,7 @@
 import pytest
 
-from netoccs import verifier
+from netoccs import onoc, verifier
+from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence
 from netoccs.verifier import (
     check_onoc_containment,
@@ -8,6 +9,7 @@ from netoccs.verifier import (
     verify_onoc_lemma_random,
     verify_thue_morse,
 )
+from netoccs.words import fib_word, tm_word
 
 FIB_CLAIMS = {
     "theta_sets_match_oracle",
@@ -90,6 +92,23 @@ def test_parallel_sweep_matches_serial(monkeypatch):
     monkeypatch.setenv("NETOCC_THREADS", "2")
     parallel = verify_fibonacci(9)
     assert serial.claims == parallel.claims
+
+
+def test_sweeps_run_the_oracle_once_per_order(monkeypatch):
+    monkeypatch.delenv("NETOCC_THREADS", raising=False)
+    calls = []
+
+    def counting_oracle(text):
+        calls.append(text)
+        return net_occurrences_bruteforce(text)
+
+    monkeypatch.setattr(verifier, "net_occurrences_bruteforce", counting_oracle)
+    monkeypatch.setattr(onoc, "net_occurrences_bruteforce", counting_oracle)
+    assert verify_fibonacci(10).all_passed()
+    assert calls == [fib_word(i) for i in range(7, 11)]
+    calls.clear()
+    assert verify_thue_morse(7).all_passed()
+    assert calls == [tm_word(i) for i in range(5, 8)]
 
 
 def test_check_onoc_containment():
