@@ -300,6 +300,9 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: out of memory running '{args.command}'; try smaller inputs", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -12,12 +12,16 @@ Two independent enumerators are provided and must agree everywhere:
 * ``net_occurrences_indexed`` — suffix-array route. It computes, for every
   suffix, the maximum common prefix with any other suffix (adjacent maxima of
   the LCP array) and reads the net occurrences off that table without any
-  substring scanning.
+  substring scanning. Its suffix array sorts suffix slices for texts of at
+  most ``SHORT_TEXT`` letters and uses numpy prefix doubling above that
+  (see ``suffix_array``); the LCP array (Kasai) is a linear Python pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .occurrences import Occurrence, is_net_occurrence
 
@@ -39,6 +43,10 @@ class NetOccurrenceRecord:
             "left": self.left,
             "right": self.right,
         }
+
+
+# Longest text for which ``suffix_array`` sorts slices instead of doubling.
+SHORT_TEXT = 256
 
 
 def _record(text: str, occ: Occurrence) -> NetOccurrenceRecord:
@@ -86,23 +94,34 @@ def net_occurrences_bruteforce(text: str) -> list[NetOccurrenceRecord]:
 
 
 def suffix_array(text: str) -> list[int]:
-    """Suffix array (0-based suffix starts) by rank doubling."""
+    """Suffix array: the 0-based suffix starts in lexicographic order.
+
+    Texts of at most SHORT_TEXT letters sort their suffix slices, which is
+    the definition itself: on tiny texts one C-level sort beats the fixed
+    cost of numpy calls, and the slices stay under 33k characters. Longer
+    texts use numpy prefix doubling (Manber & Myers), whose memory stays
+    linear: each round sorts by (rank of the first k letters, rank of the
+    next k) with ``np.lexsort`` and re-ranks, until every rank is distinct.
+    """
     n = len(text)
-    rank = [ord(c) for c in text]
-    sa = sorted(range(n), key=rank.__getitem__)
-    tmp = [0] * n
+    if n <= SHORT_TEXT:
+        return sorted(range(n), key=lambda i: text[i:])
+    # Code points and ranks fit in int32. A second key of -1 marks a suffix
+    # that ends inside the first k letters, which sorts before any letter.
+    rank = np.frombuffer(text.encode("utf-32-le"), np.uint32).astype(np.int32)
+    second = np.empty(n, np.int32)
+    differs = np.zeros(n, np.int32)
     k = 1
     while True:
-        def key(i: int) -> tuple[int, int]:
-            return (rank[i], rank[i + k] if i + k < n else -1)
-
-        sa.sort(key=key)
-        tmp[sa[0]] = 0
-        for t in range(1, n):
-            tmp[sa[t]] = tmp[sa[t - 1]] + (key(sa[t]) != key(sa[t - 1]))
-        rank = tmp[:]
-        if rank[sa[-1]] == n - 1:
-            return sa
+        second[: n - k] = rank[k:]
+        second[n - k :] = -1
+        sa = np.lexsort((second, rank))
+        key1, key2 = rank[sa], second[sa]
+        differs[1:] = (key1[1:] != key1[:-1]) | (key2[1:] != key2[:-1])
+        ranks_sorted = np.cumsum(differs)
+        if ranks_sorted[-1] == n - 1:
+            return sa.tolist()
+        rank[sa] = ranks_sorted
         k <<= 1
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,3 @@ class ClaimResult:
 
     def to_json_dict(self) -> dict:
         return {"pass": self.passed, "witness": self.witness}
-
-
-def all_passed(claims: Mapping[str, ClaimResult]) -> bool:
-    return all(c.passed for c in claims.values())

@@ -279,14 +279,23 @@ def check_onoc_containment(text: str) -> tuple[tuple[Occurrence, ...], Occurrenc
     return cover, None
 
 
+# Each extra letter doubles an exhaustive sweep: length 18 is 16 times the
+# work of the default 14, and 32 (2^33 texts) would never finish.
+EXHAUSTIVE_MAX_LEN = 18
+
+
 def verify_onoc_lemma_random(
     seed: int, samples: int, max_len: int, exhaustive: bool = False
 ) -> PropertyReport:
     """Check the ONOC containment property on random texts (iid uniform
     letters, lengths uniform on [4, max_len]) or exhaustively on all texts
-    of length 1..max_len (samples ignored). Deterministic for a fixed seed."""
-    if max_len > 32:
-        raise ValueError(f"verify_onoc_lemma_random: max_len {max_len} > 32")
+    of length 1..max_len (samples ignored). Deterministic for a fixed seed.
+    max_len is capped at 32 when sampling and at EXHAUSTIVE_MAX_LEN when
+    exhaustive; a larger value raises ValueError before any text is built."""
+    cap = EXHAUSTIVE_MAX_LEN if exhaustive else 32
+    if max_len > cap:
+        mode = "exhaustive" if exhaustive else "sampled"
+        raise ValueError(f"verify_onoc_lemma_random: {mode} max_len {max_len} > {cap}")
     if exhaustive:
         texts: Iterable[str] = (
             "".join(tup)

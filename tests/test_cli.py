@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from netoccs import cli, verifier
 from netoccs.cli import run
 from netoccs.words import fib_word, tm_word
 
@@ -168,6 +169,29 @@ def test_verify_onoc_exhaustive(capsys):
     assert run(["verify", "onoc", "--exhaustive", "--max-len", "6"]) == 0
     out, _ = out_of(capsys)
     assert "samples=126" in out
+
+
+def test_verify_onoc_exhaustive_cap(monkeypatch, capsys):
+    def never(text):
+        raise AssertionError(f"checked {text!r} despite the cap")
+
+    monkeypatch.setattr(verifier, "check_onoc_containment", never)
+    assert run(["verify", "onoc", "--exhaustive", "--max-len", "19"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and "19 > 18" in err
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "gen", exhaust)
+    assert run(["gen", "fib", "--order", "7"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
 
 
 def test_verify_flag_domains(capsys):

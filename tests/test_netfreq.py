@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from netoccs.netfreq import (
+    SHORT_TEXT,
     net_frequency,
     net_occurrences_bruteforce,
     net_occurrences_indexed,
@@ -27,6 +28,27 @@ _rng = random.Random(20250502)
 LONG_TEXTS = [
     "".join(_rng.choice("ab") for _ in range(_rng.randint(1, 2000))) for _ in range(12)
 ] + ["a" * 500, "ab" * 250, "aab" * 200]
+
+# Texts on both sides of the length at which suffix_array switches from
+# sorting slices to numpy prefix doubling, keyed by test id.
+_BOUNDARY_LENGTHS = (SHORT_TEXT - 1, SHORT_TEXT, SHORT_TEXT + 1, 3000)
+SA_TEXTS = {
+    **{f"random-{n}": "".join(_rng.choice("ab") for _ in range(n)) for n in _BOUNDARY_LENGTHS},
+    **{f"{unit}-{n}": (unit * n)[:n] for unit in ("a", "ab", "aab") for n in _BOUNDARY_LENGTHS},
+    **{f"fib-{i}": fib_word(i) for i in range(12, 17)},
+    **{f"tm-{i}": tm_word(i) for i in range(9, 13)},
+}
+
+
+def assert_lcp_definitional(text, sa):
+    lcp = lcp_array(text, sa)
+    assert lcp[0] == 0
+    for r in range(1, len(text)):
+        x, y = text[sa[r - 1] :], text[sa[r] :]
+        common = 0
+        while common < min(len(x), len(y)) and x[common] == y[common]:
+            common += 1
+        assert lcp[r] == common
 
 
 def test_fib7_net_occurrences():
@@ -132,13 +154,17 @@ def test_suffix_array_small():
     sa = suffix_array(text)
     suffixes = sorted(range(len(text)), key=lambda k: text[k:])
     assert sa == suffixes
-    lcp = lcp_array(text, sa)
-    for r in range(1, len(text)):
-        x, y = text[sa[r - 1] :], text[sa[r] :]
-        common = 0
-        while common < min(len(x), len(y)) and x[common] == y[common]:
-            common += 1
-        assert lcp[r] == common
+    assert_lcp_definitional(text, sa)
+
+
+@pytest.mark.parametrize("text", list(SA_TEXTS.values()), ids=list(SA_TEXTS))
+def test_suffix_array_matches_sorted_suffixes_across_short_text(text):
+    assert suffix_array(text) == sorted(range(len(text)), key=lambda i: text[i:])
+
+
+def test_lcp_array_definitional_above_short_text():
+    text = SA_TEXTS["random-3000"]
+    assert_lcp_definitional(text, suffix_array(text))
 
 
 def test_repeated_prefix_table_definition():

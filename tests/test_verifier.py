@@ -153,6 +153,18 @@ def test_onoc_lemma_domain_errors():
         verify_onoc_lemma_random(seed=0, samples=10, max_len=3)
 
 
+def test_onoc_lemma_exhaustive_cap_refused_before_any_text(monkeypatch):
+    # the sampled mode keeps its own cap of 32
+    assert verify_onoc_lemma_random(seed=0, samples=3, max_len=19).samples == 3
+
+    def never(text):
+        raise AssertionError(f"checked {text!r} despite the cap")
+
+    monkeypatch.setattr(verifier, "check_onoc_containment", never)
+    with pytest.raises(ValueError, match="exhaustive max_len 19 > 18"):
+        verify_onoc_lemma_random(seed=0, samples=0, max_len=19, exhaustive=True)
+
+
 def test_property_report_json():
     report = verify_onoc_lemma_random(seed=3, samples=25, max_len=8)
     data = report.to_json_dict()
