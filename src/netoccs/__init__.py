@@ -31,9 +31,7 @@ from .occurrences import (
 )
 from .onoc import (
     CompletenessReport,
-    Cover,
     bnso_set,
-    enumerate_bridging_supers,
     greedy_onoc,
     is_onoc,
     prove_completeness,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompletenessReport",
-    "Cover",
     "ExtensionPair",
     "FactorRef",
     "Factorization",
@@ -92,7 +89,6 @@ __all__ = [
     "check_fib_lemmas",
     "check_tm_identities",
     "delta",
-    "enumerate_bridging_supers",
     "extension_characters",
     "fib_length",
     "fib_uniform_factorization",

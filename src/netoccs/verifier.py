@@ -2,8 +2,9 @@
 
 Runs every per-order checker across a range of orders for the two word
 families, and a randomized/exhaustive property suite for the ONOC
-containment lemma. Per-order work is independent; set NETOCC_THREADS to
-farm orders out to a process pool (report merging stays deterministic).
+containment lemma. Per-order work is independent; set NETOCC_THREADS to a
+positive integer to farm orders out to a process pool (report merging
+stays deterministic); any other value is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .fibonacci import (
 )
 from .netfreq import net_occurrences_bruteforce, net_occurrences_indexed
 from .occurrences import Occurrence, find_occurrences
-from .onoc import greedy_onoc, is_onoc, prove_completeness
+from .onoc import bnso_set, bridging, greedy_onoc, prove_completeness
 from .reports import ClaimResult
 from .thue_morse import (
     ab_counts,
@@ -68,6 +69,12 @@ def _pairs(occs: Iterable[Occurrence]) -> list[list[int]]:
     return [[o.start, o.end] for o in occs]
 
 
+def _all_pass(sub_claims: dict[str, ClaimResult]) -> ClaimResult:
+    """Fold sub-claims into one claim; the witness names the failing ones."""
+    failed = [name for name, claim in sub_claims.items() if not claim.passed]
+    return ClaimResult(not failed, witness=failed or None)
+
+
 def _net_occurrence_claims(word: str, predicted: tuple[Occurrence, ...]) -> dict[str, ClaimResult]:
     """The claims on a word's net occurrences, from one oracle run: they
     match the prediction, the prediction is a complete ONOC, and the
@@ -82,7 +89,7 @@ def _net_occurrence_claims(word: str, predicted: tuple[Occurrence, ...]) -> dict
         "net_occurrences_match_prediction": ClaimResult(
             match, witness=None if match else {"actual": _pairs(actual), "predicted": _pairs(predicted)}
         ),
-        "prediction_is_onoc": ClaimResult(is_onoc(word, predicted)),
+        "prediction_is_onoc": ClaimResult(completeness.cover_valid),
         "cover_complete": ClaimResult(
             completeness.complete(),
             witness=None if completeness.complete() else completeness.to_json_dict(),
@@ -117,17 +124,8 @@ def _fib_order_claims(i: int) -> dict[str, ClaimResult]:
     ]
     claims["theta_counts_match_oracle"] = ClaimResult(not count_bad, witness=count_bad or None)
 
-    idents = check_fib_identities(i)
-    claims["identities"] = ClaimResult(
-        all(c.passed for c in idents.values()),
-        witness=[k for k, c in idents.items() if not c.passed] or None,
-    )
-
-    lemmas = check_fib_lemmas(i)
-    claims["lemmas"] = ClaimResult(
-        all(c.passed for c in lemmas.values()),
-        witness=[k for k, c in lemmas.items() if not c.passed] or None,
-    )
+    claims["identities"] = _all_pass(check_fib_identities(i))
+    claims["lemmas"] = _all_pass(check_fib_lemmas(i))
 
     claims.update(_net_occurrence_claims(word, predicted_fib_net_occurrences(i)))
     return claims
@@ -167,11 +165,7 @@ def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
         witness={"oracle": oracle_top, "recurrence": recurrence_top},
     )
 
-    idents = check_tm_identities(i)
-    claims["identities"] = ClaimResult(
-        all(c.passed for c in idents.values()),
-        witness=[k for k, c in idents.items() if not c.passed] or None,
-    )
+    claims["identities"] = _all_pass(check_tm_identities(i))
 
     claims.update(_net_occurrence_claims(word, predicted_tm_net_occurrences(i)))
 
@@ -195,9 +189,12 @@ def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
 def _worker_count() -> int:
     raw = os.environ.get("NETOCC_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"NETOCC_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _sweep(fn: Callable[[int], dict[str, ClaimResult]], orders: list[int]) -> dict[str, ClaimResult]:
@@ -264,19 +261,10 @@ def check_onoc_containment(text: str) -> tuple[tuple[Occurrence, ...], Occurrenc
     cover = greedy_onoc(text, occs)
     if cover is None:
         return None
-    n = len(text)
-    bnsos = [Occurrence(cur.start, prev.end) for prev, cur in zip(cover, cover[1:])]
     members = set(cover)
-    for occ in occs:
-        if occ in members:
-            continue
-        contained = any(
-            occ.start <= max(1, b.start - 1) and occ.end >= min(n, b.end + 1)
-            for b in bnsos
-        )
-        if not contained:
-            return cover, occ
-    return cover, None
+    outside = [occ for occ in occs if occ not in members]
+    bridged = set(bridging(outside, bnso_set(cover), len(text)))
+    return cover, next((occ for occ in outside if occ not in bridged), None)
 
 
 # Each extra letter doubles an exhaustive sweep: length 18 is 16 times the

@@ -35,3 +35,19 @@ def net_frequency(text: str, pattern: str) -> int:
     return sum(
         1 for s, e in net_occurrences(text) if text[s - 1 : e] == pattern
     )
+
+
+def enumerate_bridging_supers(text: str, bnso: tuple[int, int]) -> list[tuple[int, int]]:
+    """Every interval (s, e) of the text that contains the BNSO (start, end)
+    widened by one position on each side, where the widening stops at the
+    text's first and last positions."""
+    n = len(text)
+    start, end = bnso
+    left = start - 1 if start > 1 else start
+    right = end + 1 if end < n else end
+    return [
+        (s, e)
+        for s in range(1, n + 1)
+        for e in range(s, n + 1)
+        if s <= left and e >= right
+    ]

@@ -182,6 +182,14 @@ def test_verify_onoc_exhaustive_cap(monkeypatch, capsys):
     assert err.startswith("error:") and "19 > 18" in err
 
 
+def test_verify_refuses_malformed_worker_count(monkeypatch, capsys):
+    monkeypatch.setenv("NETOCC_THREADS", "notanumber")
+    assert run(["verify", "fib", "--max-order", "7"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and "NETOCC_THREADS" in err
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     def exhaust(args):
         raise MemoryError

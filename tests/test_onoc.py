@@ -1,15 +1,11 @@
+from itertools import product
+
 import pytest
 
+import reference
 from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence, is_net_occurrence
-from netoccs.onoc import (
-    Cover,
-    bnso_set,
-    enumerate_bridging_supers,
-    greedy_onoc,
-    is_onoc,
-    prove_completeness,
-)
+from netoccs.onoc import bnso_set, bridging, greedy_onoc, is_onoc, prove_completeness
 from netoccs.words import fib_word, tm_word
 
 # Length-14 text found by exhaustive search (scripts/find_cover_witness.py):
@@ -48,14 +44,13 @@ def test_is_onoc_domain_errors():
 
 
 def test_bnso_set_fib7():
-    text = fib_word(7)
-    assert bnso_set(fib7_cover(), text) == (Occurrence(6, 6), Occurrence(9, 11))
-    assert bnso_set(Cover(text, tuple(fib7_cover()))) == (
+    assert bnso_set(fib7_cover()) == (Occurrence(6, 6), Occurrence(9, 11))
+    assert bnso_set(tuple(fib7_cover())) == (
         Occurrence(6, 6),
         Occurrence(9, 11),
     )
     with pytest.raises(ValueError):
-        bnso_set([Occurrence(1, 6), Occurrence(9, 13)], text)
+        bnso_set([Occurrence(1, 6), Occurrence(9, 13)])
 
 
 @pytest.mark.parametrize(
@@ -63,18 +58,18 @@ def test_bnso_set_fib7():
     [(13, (6, 6), 35), (13, (9, 11), 16), (14, (9, 9), 40)],
 )
 def test_enumerate_bridging_supers_counts(n, bnso, count):
-    supers = enumerate_bridging_supers("a" * n, Occurrence(*bnso))
+    supers = reference.enumerate_bridging_supers("a" * n, bnso)
     assert len(supers) == count
     assert len(set(supers)) == count
     s, e = bnso
-    for occ in supers:
-        assert occ.start <= max(1, s - 1)
-        assert occ.end >= min(n, e + 1)
+    for start, end in supers:
+        assert start <= max(1, s - 1)
+        assert end >= min(n, e + 1)
 
 
 def test_enumerate_bridging_supers_clips_at_boundaries():
-    supers = enumerate_bridging_supers("ababa", Occurrence(1, 3))
-    assert set(supers) == {Occurrence(1, 4), Occurrence(1, 5)}
+    supers = reference.enumerate_bridging_supers("ababa", (1, 3))
+    assert set(supers) == {(1, 4), (1, 5)}
 
 
 def test_prove_completeness_fib7():
@@ -110,10 +105,23 @@ def test_witness_outsider_is_flagged_by_completeness_check():
     assert not report.oracle_agrees
     assert not report.complete()
     # ... and it is indeed a bridging super-occurrence of the first BNSO
-    assert WITNESS_OUTSIDER in enumerate_bridging_supers(WITNESS_TEXT, Occurrence(4, 6))
+    outsider = (WITNESS_OUTSIDER.start, WITNESS_OUTSIDER.end)
+    assert outsider in reference.enumerate_bridging_supers(WITNESS_TEXT, (4, 6))
 
 
-@pytest.mark.parametrize("text", [WITNESS_TEXT, fib_word(7), "aaaa", "abbaabba"])
+# Every binary text of length <= 10 that has a greedy ONOC.
+SHORT_COVERED_TEXTS = [
+    text
+    for length in range(1, 11)
+    for text in ("".join(letters) for letters in product("ab", repeat=length))
+    if greedy_onoc(text) is not None
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    list(dict.fromkeys([WITNESS_TEXT, fib_word(7), "aaaa", "abbaabba", *SHORT_COVERED_TEXTS])),
+)
 def test_offenders_equal_literal_rectangle_scan(text):
     """The fast offender computation must agree with literally enumerating
     every bridging super-occurrence and testing each definitionally."""
@@ -122,11 +130,13 @@ def test_offenders_equal_literal_rectangle_scan(text):
     if cover is None:
         pytest.skip("text has no ONOC")
     report = prove_completeness(text, cover)
+    assert report.bnsos == bnso_set(cover)
     literal = set()
     for bnso in report.bnsos:
-        for occ in enumerate_bridging_supers(text, bnso):
-            if is_net_occurrence(text, occ):
-                literal.add(occ)
+        for s, e in reference.enumerate_bridging_supers(text, (bnso.start, bnso.end)):
+            if is_net_occurrence(text, Occurrence(s, e)):
+                literal.add(Occurrence(s, e))
+    assert set(bridging(occs, report.bnsos, len(text))) == literal
     assert set(report.offending_supers) == literal
 
 

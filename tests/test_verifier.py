@@ -81,9 +81,11 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("NETOCC_THREADS", "4")
     assert verifier._worker_count() == 4
     monkeypatch.setenv("NETOCC_THREADS", "0")
-    assert verifier._worker_count() == 1
+    with pytest.raises(ValueError, match="NETOCC_THREADS"):
+        verifier._worker_count()
     monkeypatch.setenv("NETOCC_THREADS", "notanumber")
-    assert verifier._worker_count() == 1
+    with pytest.raises(ValueError, match="NETOCC_THREADS"):
+        verifier._worker_count()
 
 
 def test_parallel_sweep_matches_serial(monkeypatch):
