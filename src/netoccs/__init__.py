@@ -22,12 +22,9 @@ from .netfreq import (
     net_occurrences_indexed,
 )
 from .occurrences import (
-    ExtensionPair,
     Occurrence,
-    extension_characters,
     find_occurrences,
     is_net_occurrence,
-    occurrence_relation,
 )
 from .onoc import (
     CompletenessReport,
@@ -59,13 +56,11 @@ from .words import (
     FactorRef,
     delta,
     fib_length,
-    fib_uniform_factorization,
     fib_word,
     flip_word,
     q_word,
     read_word_file,
     tm_length,
-    tm_uniform_factorization,
     tm_word,
 )
 
@@ -73,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompletenessReport",
-    "ExtensionPair",
     "FactorRef",
     "Factorization",
     "NetOccurrenceRecord",
@@ -89,9 +83,7 @@ __all__ = [
     "check_fib_lemmas",
     "check_tm_identities",
     "delta",
-    "extension_characters",
     "fib_length",
-    "fib_uniform_factorization",
     "fib_word",
     "find_occurrences",
     "flip_word",
@@ -102,7 +94,6 @@ __all__ = [
     "net_frequency",
     "net_occurrences_bruteforce",
     "net_occurrences_indexed",
-    "occurrence_relation",
     "predicted_fib_net_occurrences",
     "predicted_tm_net_occurrences",
     "prove_completeness",
@@ -112,7 +103,6 @@ __all__ = [
     "theta_count",
     "theta_set",
     "tm_length",
-    "tm_uniform_factorization",
     "tm_word",
     "validate_smallest_factorization",
     "verify_fibonacci",

@@ -1,5 +1,5 @@
-"""Occurrences in a text: positions, containment relations, extensions, and
-the net-occurrence predicate.
+"""Occurrences in a text: position sets, the occurrence interval, a direct
+scan for all starting positions, and the net-occurrence predicate.
 
 An occurrence is a 1-based inclusive interval (start, end) of a text. It is a
 net occurrence when the covered substring is repeated in the text while both
@@ -46,31 +46,6 @@ class Occurrence:
         return self.end - self.start + 1
 
 
-@dataclass(frozen=True)
-class ExtensionPair:
-    """One-letter context of an occurrence; a side is None at the text edge."""
-
-    left: str | None
-    right: str | None
-
-
-@dataclass(frozen=True)
-class OccurrenceRelation:
-    """All containment/overlap predicates between two occurrences.
-
-    The categories are not mutually exclusive (a proper sub-occurrence also
-    overlaps), so each is reported independently.
-    """
-
-    equal: bool
-    sub: bool
-    proper_sub: bool
-    super_: bool
-    proper_super: bool
-    overlap: bool
-    disjoint: bool
-
-
 def find_occurrences(pattern: str, text: str) -> PositionSet:
     """All 1-based starting positions of the pattern in the text, including
     overlapping ones, in increasing order. Direct-scan oracle."""
@@ -87,33 +62,6 @@ def find_occurrences(pattern: str, text: str) -> PositionSet:
 def _check_bounds(text: str, occ: Occurrence) -> None:
     if occ.end > len(text):
         raise ValueError(f"occurrence {occ} out of bounds for text of length {len(text)}")
-
-
-def extension_characters(text: str, occ: Occurrence) -> ExtensionPair:
-    """The letters immediately before and after the occurrence; None where
-    the occurrence touches a text boundary."""
-    _check_bounds(text, occ)
-    left = text[occ.start - 2] if occ.start > 1 else None
-    right = text[occ.end] if occ.end < len(text) else None
-    return ExtensionPair(left, right)
-
-
-def occurrence_relation(o1: Occurrence, o2: Occurrence) -> OccurrenceRelation:
-    """Containment and overlap flags of o1 relative to o2 (sub means o1 lies
-    within o2)."""
-    equal = o1 == o2
-    sub = o2.start <= o1.start and o1.end <= o2.end
-    super_ = o1.start <= o2.start and o2.end <= o1.end
-    overlap = o1.start <= o2.end and o2.start <= o1.end
-    return OccurrenceRelation(
-        equal=equal,
-        sub=sub,
-        proper_sub=sub and not equal,
-        super_=super_,
-        proper_super=super_ and not equal,
-        overlap=overlap,
-        disjoint=not overlap,
-    )
 
 
 def _is_unique(text: str, sub: str) -> bool:

@@ -276,10 +276,6 @@ class SmallestFactorization:
     i: int
     j: int
 
-    def target_word(self) -> str:
-        order = self.i - self.j
-        return tm_word(order) if self.kind == "A" else tm_flip_word(order)
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -383,10 +379,10 @@ def validate_smallest_factorization(i: int, j: int, kind: str, fac) -> bool:
     of the target word and never has two adjacent non-target factors."""
     factorization = fac.factorization if isinstance(fac, SmallestFactorization) else fac
     word = tm_word(i)
-    if factorization.flatten() != word:
+    if factorization.target != word:
         raise ValueError("validate_smallest_factorization: input does not flatten to the host word")
     target = tm_word(i - j) if kind == "A" else tm_flip_word(i - j)
-    texts = [f.resolve() for f in factorization.factors]
+    texts = factorization.texts
     starts = factorization.factor_starts()
     placed = {starts[k] for k, t in enumerate(texts) if t == target}
     if placed != set(find_occurrences(target, word) if target in word else ()):
@@ -404,15 +400,15 @@ def factorization_basis_ok(fac: SmallestFactorization) -> bool:
     basis = {tm_word(high), tm_flip_word(high)}
     if high > 1:
         basis |= {tm_word(high - 1), tm_flip_word(high - 1)}
-    return all(f.resolve() in basis for f in fac.factorization.factors)
+    return all(t in basis for t in fac.factorization.texts)
 
 
 def factorization_boundary_ok(fac: SmallestFactorization) -> bool:
     """First factor resolves to the order-(i-j) word; last factor resolves
     to the same word at even offsets and to its flip at odd offsets."""
-    factors = fac.factorization.factors
-    if not factors:
+    texts = fac.factorization.texts
+    if not texts:
         return False
     head = tm_word(fac.i - fac.j)
     tail = head if fac.j % 2 == 0 else tm_flip_word(fac.i - fac.j)
-    return factors[0].resolve() == head and factors[-1].resolve() == tail
+    return texts[0] == head and texts[-1] == tail

@@ -6,10 +6,15 @@ All positions exposed by this package are 1-based and inclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 ALPHABET = ("a", "b")
+
+# Longest word the generators build (2^24 letters). The first refused orders
+# are fib 37 and tm 26.
+MAX_WORD_LEN = 1 << 24
 
 _FLIP = str.maketrans("ab", "ba")
 
@@ -27,12 +32,21 @@ def validate_word(w: str) -> str:
     return w
 
 
+def _check_order(name: str, order: int, max_order: int) -> None:
+    if order < 1:
+        raise ValueError(f"{name}: order must be >= 1, got {order}")
+    if order > max_order:
+        raise ValueError(
+            f"{name}: order {order} gives a word longer than {MAX_WORD_LEN} letters "
+            f"(largest order: {max_order})"
+        )
+
+
 @lru_cache(maxsize=None)
 def fib_word(order: int) -> str:
     """Fibonacci word of the given order: 'b', 'a', then each word is the
     previous one followed by the one before it."""
-    if order < 1:
-        raise ValueError(f"fib_word: order must be >= 1, got {order}")
+    _check_order("fib_word", order, _FIB_MAX_ORDER)
     if order == 1:
         return "b"
     if order == 2:
@@ -64,8 +78,7 @@ def fib_length_ext(order: int) -> int:
 def tm_word(order: int) -> str:
     """Thue-Morse word of the given order: 'a', then each word is the
     previous one followed by its flip. Length doubles per order."""
-    if order < 1:
-        raise ValueError(f"tm_word: order must be >= 1, got {order}")
+    _check_order("tm_word", order, _TM_MAX_ORDER)
     if order == 1:
         return "a"
     prev = tm_word(order - 1)
@@ -83,6 +96,11 @@ def tm_length(order: int) -> int:
     if order < 1:
         raise ValueError(f"tm_length: order must be >= 1, got {order}")
     return 1 << (order - 1)
+
+
+# Largest orders whose words have at most MAX_WORD_LEN letters.
+_FIB_MAX_ORDER = max(k for k in range(1, 64) if fib_length(k) <= MAX_WORD_LEN)
+_TM_MAX_ORDER = max(k for k in range(1, 64) if tm_length(k) <= MAX_WORD_LEN)
 
 
 def q_word(order: int) -> str:
@@ -107,11 +125,10 @@ def delta(bit: int) -> str:
 
 @dataclass(frozen=True)
 class FactorRef:
-    """Symbolic reference to a word: a Fibonacci word, a Thue-Morse word,
-    a flipped Thue-Morse word, or a literal string.
+    """Symbolic reference to a word: a Thue-Morse word, a flipped
+    Thue-Morse word, or a literal string.
 
-    kind is one of "Fib", "TM", "TMflip", "lit"; exactly one of order/text
-    is set.
+    kind is one of "TM", "TMflip", "lit"; exactly one of order/text is set.
     """
 
     kind: str
@@ -119,7 +136,7 @@ class FactorRef:
     text: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in ("Fib", "TM", "TMflip"):
+        if self.kind in ("TM", "TMflip"):
             if self.order is None or self.order < 1 or self.text is not None:
                 raise ValueError(f"FactorRef: {self.kind} needs order >= 1 only")
         elif self.kind == "lit":
@@ -130,8 +147,6 @@ class FactorRef:
             raise ValueError(f"FactorRef: unknown kind {self.kind!r}")
 
     def resolve(self) -> str:
-        if self.kind == "Fib":
-            return fib_word(self.order)
         if self.kind == "TM":
             return tm_word(self.order)
         if self.kind == "TMflip":
@@ -139,19 +154,15 @@ class FactorRef:
         return self.text
 
     def flipped(self) -> "FactorRef":
-        """Flip the referenced word, staying symbolic where possible."""
+        """The reference to the flipped Thue-Morse word (TM <-> TMflip)."""
         if self.kind == "TM":
             return FactorRef("TMflip", order=self.order)
         if self.kind == "TMflip":
             return FactorRef("TM", order=self.order)
-        return FactorRef("lit", text=flip_word(self.resolve()))
+        raise ValueError(f"FactorRef: only Thue-Morse references flip, got {self.kind!r}")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "order": self.order, "text": self.text}
-
-
-def fib_ref(order: int) -> FactorRef:
-    return FactorRef("Fib", order=order)
 
 
 def tm_ref(order: int) -> FactorRef:
@@ -170,84 +181,38 @@ def lit_ref(text: str) -> FactorRef:
 class Factorization:
     """Ordered factor list whose concatenation equals the target word.
 
-    The factor list may be empty only for the degenerate empty target.
+    Each factor is resolved once, at construction: texts holds the factor
+    words and starts their 1-based starting positions in the target. The
+    factor list may be empty only for the degenerate empty target.
     """
 
     factors: tuple[FactorRef, ...]
     target: str
+    texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        texts = tuple(f.resolve() for f in self.factors)
+        object.__setattr__(self, "texts", texts)
+        object.__setattr__(self, "starts", tuple(accumulate(map(len, texts), initial=1))[:-1])
         flat = self.flatten()
         if flat != self.target:
             raise ValueError(
                 f"factorization does not flatten to its target "
                 f"({len(flat)} letters vs {len(self.target)})"
             )
-        if any(not f.resolve() for f in self.factors):
+        if not all(texts):
             raise ValueError("factorization contains an empty factor")
 
     def flatten(self) -> str:
-        return "".join(f.resolve() for f in self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
+        return "".join(self.texts)
 
     def factor_starts(self) -> tuple[int, ...]:
         """1-based starting position of each factor inside the target."""
-        starts = []
-        pos = 1
-        for f in self.factors:
-            starts.append(pos)
-            pos += len(f.resolve())
-        return tuple(starts)
+        return self.starts
 
     def to_json_list(self) -> list[dict]:
         return [f.to_json_dict() for f in self.factors]
-
-
-def _unfold_fib(factors: list[FactorRef], level: int) -> list[FactorRef]:
-    # Expand the leftmost factor whose order exceeds level+1 until every
-    # factor sits at level or level+1.
-    while True:
-        for idx, f in enumerate(factors):
-            if f.order > level + 1:
-                factors[idx : idx + 1] = [fib_ref(f.order - 1), fib_ref(f.order - 2)]
-                break
-        else:
-            return factors
-
-
-def fib_uniform_factorization(i: int, k: int) -> Factorization:
-    """Factorization of the order-i Fibonacci word where every factor is the
-    order-k or order-(k+1) Fibonacci word, by leftmost unfolding."""
-    if not 1 <= k <= i:
-        raise ValueError(f"fib_uniform_factorization: need 1 <= k <= i, got ({i}, {k})")
-    factors = _unfold_fib([fib_ref(i)], k)
-    return Factorization(tuple(factors), fib_word(i))
-
-
-def _unfold_tm(factors: list[FactorRef], level: int) -> list[FactorRef]:
-    # A flipped factor unfolds with its halves swapped and flipped.
-    while True:
-        for idx, f in enumerate(factors):
-            if f.order > level:
-                if f.kind == "TM":
-                    pair = [tm_ref(f.order - 1), tm_flip_ref(f.order - 1)]
-                else:
-                    pair = [tm_flip_ref(f.order - 1), tm_ref(f.order - 1)]
-                factors[idx : idx + 1] = pair
-                break
-        else:
-            return factors
-
-
-def tm_uniform_factorization(i: int, j: int) -> Factorization:
-    """Factorization of the order-i Thue-Morse word where every factor is the
-    order-(i-j+1) Thue-Morse word or its flip, by leftmost unfolding."""
-    if not 1 <= j <= i:
-        raise ValueError(f"tm_uniform_factorization: need 1 <= j <= i, got ({i}, {j})")
-    factors = _unfold_tm([tm_ref(i)], i - (j - 1))
-    return Factorization(tuple(factors), tm_word(i))
 
 
 def read_word_file(path) -> str:

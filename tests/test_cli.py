@@ -44,6 +44,28 @@ def test_gen_domain_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "fib", "--order", "37"],
+        ["gen", "fib", "--order", "1500"],
+        ["gen", "tm", "--order", "26", "--flip"],
+        ["gen", "tm", "--order", "1500"],
+        ["netocc", "--fib", "37"],
+        ["netocc", "--fib", "1500", "--json"],
+        ["netocc", "--tm", "26"],
+        ["netocc", "--tm", "1500", "--engine", "oracle"],
+    ],
+    ids=" ".join,
+)
+def test_word_generators_refuse_orders_above_the_cap(argv, capsys):
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and "longer than" in err
+    assert "Traceback" not in err
+
+
 def test_netocc_json(capsys):
     assert run(["netocc", "--fib", "7", "--json"]) == 0
     out, _ = out_of(capsys)
@@ -262,3 +284,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == FIB7 + "\n"
+
+
+def test_module_entry_point_refuses_huge_order_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "netoccs", "gen", "fib", "--order", "1500"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -12,7 +12,6 @@ from netoccs.netfreq import (
     suffix_array,
     lcp_array,
 )
-from netoccs.occurrences import Occurrence, occurrence_relation
 from netoccs.words import fib_word, tm_word
 
 import reference
@@ -138,14 +137,28 @@ def test_net_frequency_sums_to_record_count(text):
     assert sum(net_frequency(text, s) for s in distinct) == len(records)
 
 
-@pytest.mark.parametrize("text", [fib_word(7), tm_word(5), "aaaa", "abbaabba"])
+def assert_never_nest(text):
+    # Sorted by start, the net occurrences also have strictly increasing
+    # ends, so none lies inside another; greedy_onoc relies on this.
+    occs = sorted(r.occurrence for r in net_occurrences_bruteforce(text))
+    for prev, cur in zip(occs, occs[1:]):
+        assert prev.start < cur.start and prev.end < cur.end, (text, prev, cur)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [fib_word(7), tm_word(5), "aaaa", "abbaabba"]
+    + [pytest.param(fib_word(i), id=f"fib-{i}") for i in range(8, 15)]
+    + [pytest.param(tm_word(i), id=f"tm-{i}") for i in range(6, 11)],
+)
 def test_records_never_nest(text):
-    occs = [r.occurrence for r in net_occurrences_bruteforce(text)]
-    for a in occs:
-        for b in occs:
-            if a != b:
-                rel = occurrence_relation(a, b)
-                assert not rel.proper_sub and not rel.proper_super
+    assert_never_nest(text)
+
+
+def test_records_never_nest_on_every_text_to_length_12():
+    for n in range(1, 13):
+        for letters in product("ab", repeat=n):
+            assert_never_nest("".join(letters))
 
 
 def test_suffix_array_small():

@@ -1,14 +1,11 @@
 import pytest
 
 from netoccs.occurrences import (
-    ExtensionPair,
     Occurrence,
-    extension_characters,
     find_occurrences,
     intersect_positions,
     is_net_occurrence,
     merge_positions,
-    occurrence_relation,
     shift_positions,
 )
 
@@ -44,34 +41,6 @@ def test_find_occurrences_overlapping():
 )
 def test_find_occurrences_matches_reference(pattern, text):
     assert list(find_occurrences(pattern, text)) == reference.occurrences(pattern, text)
-
-
-def test_extension_characters():
-    text = "abaab"
-    assert extension_characters(text, Occurrence(2, 3)) == ExtensionPair("a", "a")
-    assert extension_characters(text, Occurrence(1, 2)) == ExtensionPair(None, "a")
-    assert extension_characters(text, Occurrence(4, 5)) == ExtensionPair("a", None)
-    with pytest.raises(ValueError):
-        extension_characters(text, Occurrence(4, 6))
-
-
-def test_occurrence_relation_flags():
-    rel = occurrence_relation(Occurrence(2, 3), Occurrence(1, 5))
-    assert rel.sub and rel.proper_sub and rel.overlap
-    assert not rel.super_ and not rel.equal and not rel.disjoint
-
-    rel = occurrence_relation(Occurrence(1, 5), Occurrence(2, 3))
-    assert rel.super_ and rel.proper_super and not rel.sub
-
-    rel = occurrence_relation(Occurrence(1, 3), Occurrence(1, 3))
-    assert rel.equal and rel.sub and rel.super_
-    assert not rel.proper_sub and not rel.proper_super
-
-    rel = occurrence_relation(Occurrence(1, 3), Occurrence(5, 6))
-    assert rel.disjoint and not rel.overlap
-
-    rel = occurrence_relation(Occurrence(1, 4), Occurrence(3, 6))
-    assert rel.overlap and not rel.sub and not rel.super_ and not rel.disjoint
 
 
 def test_is_net_occurrence_basic():

@@ -12,22 +12,11 @@ from netoccs.netfreq import (
     repeated_prefix_table,
     suffix_array,
 )
-from netoccs.occurrences import Occurrence, occurrence_relation
 from netoccs.verifier import check_onoc_containment
 from netoccs.words import flip_word
 
 texts = st.text(alphabet="ab", min_size=1, max_size=40)
 small_texts = st.text(alphabet="ab", min_size=1, max_size=14)
-
-
-@st.composite
-def occurrence_pairs(draw):
-    n = draw(st.integers(2, 20))
-    s1 = draw(st.integers(1, n))
-    e1 = draw(st.integers(s1, n))
-    s2 = draw(st.integers(1, n))
-    e2 = draw(st.integers(s2, n))
-    return Occurrence(s1, e1), Occurrence(s2, e2)
 
 
 @given(texts)
@@ -41,21 +30,6 @@ def test_oracle_matches_literal_reference(text):
     expected = reference.net_occurrences(text)
     actual = [(r.occurrence.start, r.occurrence.end) for r in net_occurrences_bruteforce(text)]
     assert actual == expected
-
-
-@given(occurrence_pairs())
-def test_occurrence_relation_algebra(pair):
-    o1, o2 = pair
-    r12 = occurrence_relation(o1, o2)
-    r21 = occurrence_relation(o2, o1)
-    assert r12.sub == (o2.start <= o1.start and o1.end <= o2.end)
-    assert r12.sub == r21.super_
-    assert r12.proper_sub == r21.proper_super
-    assert r12.equal == (o1 == o2)
-    assert r12.proper_sub == (r12.sub and not r12.equal)
-    assert r12.disjoint == (not r12.overlap)
-    assert r12.overlap == (max(o1.start, o2.start) <= min(o1.end, o2.end))
-    assert r12.overlap == r21.overlap
 
 
 @given(texts)

@@ -1,13 +1,12 @@
 import pytest
 
 from netoccs.words import (
+    MAX_WORD_LEN,
     FactorRef,
     Factorization,
     delta,
     fib_length,
     fib_length_ext,
-    fib_ref,
-    fib_uniform_factorization,
     fib_word,
     flip_word,
     lit_ref,
@@ -16,7 +15,6 @@ from netoccs.words import (
     tm_flip_ref,
     tm_length,
     tm_ref,
-    tm_uniform_factorization,
     tm_word,
     validate_word,
 )
@@ -60,6 +58,16 @@ def test_generators_reject_bad_orders(fn, bad):
         fn(bad)
 
 
+def test_generators_refuse_words_longer_than_the_cap():
+    assert fib_length(36) <= MAX_WORD_LEN < fib_length(37)
+    assert tm_length(25) <= MAX_WORD_LEN < tm_length(26)
+    # Refused from the order alone: nothing is built, no length is computed.
+    for fn, first_refused in ((fib_word, 37), (tm_word, 26)):
+        for order in (first_refused, 1500, 10**18):
+            with pytest.raises(ValueError, match="longer than"):
+                fn(order)
+
+
 def test_q_word_values():
     assert q_word(7) == "a"
     assert q_word(8) == "aba"
@@ -90,11 +98,11 @@ def test_validate_word():
 def test_factor_ref_resolve_and_flip():
     assert tm_ref(3).resolve() == "abba"
     assert tm_flip_ref(3).resolve() == "baab"
-    assert fib_ref(4).resolve() == "aba"
     assert lit_ref("bb").resolve() == "bb"
     assert tm_ref(3).flipped() == tm_flip_ref(3)
     assert tm_flip_ref(3).flipped() == tm_ref(3)
-    assert fib_ref(4).flipped() == lit_ref("bab")
+    with pytest.raises(ValueError):
+        lit_ref("bb").flipped()
     assert tm_ref(2).to_json_dict() == {"kind": "TM", "order": 2, "text": None}
 
 
@@ -113,49 +121,9 @@ def test_factorization_must_flatten_to_target():
     fac = Factorization((tm_ref(2), tm_flip_ref(2)), "abba")
     assert fac.flatten() == "abba"
     assert fac.factor_starts() == (1, 3)
-    assert len(fac) == 2
+    assert fac.texts == ("ab", "ba")
     with pytest.raises(ValueError):
         Factorization((tm_ref(2),), "abba")
-
-
-def test_fib_uniform_factorization_examples():
-    fac = fib_uniform_factorization(7, 4)
-    assert fac.factors == (fib_ref(5), fib_ref(4), fib_ref(5))
-    assert fac.flatten() == fib_word(7)
-
-    fac3 = fib_uniform_factorization(7, 3)
-    assert fac3.factors == (fib_ref(4), fib_ref(3), fib_ref(4), fib_ref(4), fib_ref(3))
-
-
-def test_fib_uniform_factorization_orders_and_domain():
-    for i in range(2, 11):
-        for k in range(1, i + 1):
-            fac = fib_uniform_factorization(i, k)
-            assert fac.flatten() == fib_word(i)
-            assert all(f.order in (k, k + 1) for f in fac.factors)
-    with pytest.raises(ValueError):
-        fib_uniform_factorization(7, 0)
-    with pytest.raises(ValueError):
-        fib_uniform_factorization(7, 8)
-
-
-def test_tm_uniform_factorization():
-    assert tm_uniform_factorization(5, 1).factors == (tm_ref(5),)
-    assert tm_uniform_factorization(5, 2).factors == (tm_ref(4), tm_flip_ref(4))
-    # flipped factors unfold with their halves swapped
-    assert tm_uniform_factorization(5, 3).factors == (
-        tm_ref(3),
-        tm_flip_ref(3),
-        tm_flip_ref(3),
-        tm_ref(3),
-    )
-    for i in range(2, 9):
-        for j in range(1, i + 1):
-            fac = tm_uniform_factorization(i, j)
-            assert fac.flatten() == tm_word(i)
-            assert all(f.order == i - j + 1 for f in fac.factors)
-    with pytest.raises(ValueError):
-        tm_uniform_factorization(5, 6)
 
 
 def test_read_word_file_roundtrip(tmp_path):
