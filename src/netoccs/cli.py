@@ -232,7 +232,7 @@ def _cmd_verify(args) -> int:
     else:
         out = (
             f"samples={prop.samples} tested={prop.tested()} skipped={prop.skipped} "
-            f"violations={len(prop.violations)}"
+            f"violations={len(prop.violations)} in {prop.wall_time:.2f}s"
         )
     _emit(out, args.output)
     return 0 if prop.ok() else 1

@@ -8,9 +8,10 @@ contain some BNSO extended by one position on each side — so checking every
 such bridging super-occurrence proves a cover complete.
 
 This module defines each of those facts once: ``is_onoc`` the cover,
-``bnso_set`` the BNSOs and ``bridging`` the widened containment. The literal
-route, which enumerates every bridging super-occurrence rectangle, lives
-with the tests in ``tests/reference.py`` and shares no code with this one.
+``bnso_set`` the BNSOs, ``widen`` the widened bounds and ``bridging`` the
+widened containment. The literal route, which enumerates every bridging
+super-occurrence rectangle, lives with the tests in ``tests/reference.py``
+and shares no code with this one.
 """
 
 from __future__ import annotations
@@ -70,12 +71,18 @@ def bnso_set(members: Sequence[Occurrence]) -> tuple[Occurrence, ...]:
     return tuple([Occurrence(cur.start, prev.end) for prev, cur in zip(members, members[1:])])
 
 
+def widen(start, end, n):
+    """A BNSO's 1-based bounds widened by one position on each side, clipped
+    to the text's n positions. Accepts ints or numpy integer arrays alike."""
+    return start - (start > 1), end + (end < n)
+
+
 def bridging(
     occs: Iterable[Occurrence], bnsos: Sequence[Occurrence], n: int
 ) -> list[Occurrence]:
     """The occurrences, in the order given, that contain some BNSO widened by
     one position on each side, clipped to the text's n positions."""
-    widened = [(max(1, b.start - 1), min(n, b.end + 1)) for b in bnsos]
+    widened = [widen(b.start, b.end, n) for b in bnsos]
     return [occ for occ in occs if any(occ.start <= s and occ.end >= e for s, e in widened)]
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via netoccs.cli.run."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -190,18 +191,19 @@ def test_verify_onoc(capsys):
 def test_verify_onoc_exhaustive(capsys):
     assert run(["verify", "onoc", "--exhaustive", "--max-len", "6"]) == 0
     out, _ = out_of(capsys)
-    assert "samples=126" in out
+    assert re.fullmatch(r"samples=126 tested=12 skipped=114 violations=0 in \d+\.\d\ds\n", out)
 
 
 def test_verify_onoc_exhaustive_cap(monkeypatch, capsys):
-    def never(text):
-        raise AssertionError(f"checked {text!r} despite the cap")
+    def never(*args):
+        raise AssertionError(f"checked {args!r} despite the cap")
 
     monkeypatch.setattr(verifier, "check_onoc_containment", never)
-    assert run(["verify", "onoc", "--exhaustive", "--max-len", "19"]) == 2
+    monkeypatch.setattr(verifier, "_containment_kernel", never)
+    assert run(["verify", "onoc", "--exhaustive", "--max-len", "21"]) == 2
     out, err = out_of(capsys)
     assert out == ""
-    assert err.startswith("error:") and "19 > 18" in err
+    assert err.startswith("error:") and "21 > 20" in err
 
 
 def test_verify_refuses_malformed_worker_count(monkeypatch, capsys):

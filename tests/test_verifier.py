@@ -1,3 +1,7 @@
+import random
+from itertools import product
+
+import numpy as np
 import pytest
 
 from netoccs import onoc, verifier
@@ -9,6 +13,7 @@ from netoccs.verifier import (
     verify_onoc_lemma_random,
     verify_thue_morse,
 )
+from netoccs.onoc import greedy_onoc
 from netoccs.words import fib_word, tm_word
 
 FIB_CLAIMS = {
@@ -157,14 +162,118 @@ def test_onoc_lemma_domain_errors():
 
 def test_onoc_lemma_exhaustive_cap_refused_before_any_text(monkeypatch):
     # the sampled mode keeps its own cap of 32
-    assert verify_onoc_lemma_random(seed=0, samples=3, max_len=19).samples == 3
+    assert verify_onoc_lemma_random(seed=0, samples=3, max_len=21).samples == 3
 
-    def never(text):
-        raise AssertionError(f"checked {text!r} despite the cap")
+    def never(*args):
+        raise AssertionError(f"checked {args!r} despite the cap")
 
     monkeypatch.setattr(verifier, "check_onoc_containment", never)
-    with pytest.raises(ValueError, match="exhaustive max_len 19 > 18"):
-        verify_onoc_lemma_random(seed=0, samples=0, max_len=19, exhaustive=True)
+    monkeypatch.setattr(verifier, "_containment_kernel", never)
+    with pytest.raises(ValueError, match="exhaustive max_len 21 > 20"):
+        verify_onoc_lemma_random(seed=0, samples=0, max_len=21, exhaustive=True)
+
+
+def _kernel(texts: list[str]) -> verifier._Batch:
+    """The kernel's results for texts of one length, in the given order."""
+    n = len(texts[0])
+    codes = np.array([int(t.translate(str.maketrans("ab", "01")), 2) for t in texts], np.uint64)
+    return verifier._containment_kernel(codes, n)
+
+
+def _by_length(texts: list[str]) -> dict[int, list[str]]:
+    groups: dict[int, list[str]] = {}
+    for text in texts:
+        groups.setdefault(len(text), []).append(text)
+    return groups
+
+
+def _assert_kernel_matches_oracle(texts: list[str]) -> None:
+    """Net occurrences (start, end) and greedy cover members, text by text."""
+    for group in _by_length(texts).values():
+        batch = _kernel(group)
+        for t, text in enumerate(group):
+            occs = [rec.occurrence for rec in net_occurrences_bruteforce(text)]
+            starts = np.flatnonzero(batch.net[:, t])
+            assert [(p + 1, int(batch.ends[p, t])) for p in starts] == [
+                (o.start, o.end) for o in occs
+            ], text
+            cover = greedy_onoc(text, occs)
+            assert bool(batch.has_cover[t]) == (cover is not None), text
+            if cover is not None:
+                members = [p + 1 for p in np.flatnonzero(batch.members[:, t])]
+                assert members == [o.start for o in cover], text
+
+
+def _assert_kernel_matches_containment(texts: list[str]) -> None:
+    """Has-cover and violation flags against check_onoc_containment."""
+    for group in _by_length(texts).values():
+        batch = _kernel(group)
+        for t, text in enumerate(group):
+            outcome = check_onoc_containment(text)
+            assert bool(batch.has_cover[t]) == (outcome is not None), text
+            assert bool(batch.violated[t]) == (outcome is not None and outcome[1] is not None), text
+
+
+def _all_texts(max_len: int) -> list[str]:
+    return ["".join(tup) for n in range(1, max_len + 1) for tup in product("ab", repeat=n)]
+
+
+def _sampled_texts(seed: int, samples: int, max_len: int) -> list[str]:
+    rng = random.Random(seed)
+    return ["".join(rng.choice("ab") for _ in range(rng.randint(4, max_len))) for _ in range(samples)]
+
+
+def test_kernel_matches_oracle_and_greedy_cover_up_to_length_12():
+    _assert_kernel_matches_oracle(_all_texts(12))
+
+
+def test_kernel_matches_containment_check_up_to_length_14():
+    _assert_kernel_matches_containment(_all_texts(14))
+
+
+def test_kernel_matches_per_text_routes_on_sampled_texts():
+    rng = random.Random(32)
+    texts = _sampled_texts(42, 1000, 24)
+    texts += ["".join(rng.choice("ab") for _ in range(32)) for _ in range(50)]
+    _assert_kernel_matches_oracle(texts)
+    _assert_kernel_matches_containment(texts)
+
+
+def test_flagged_text_reports_the_per_text_witness(monkeypatch):
+    real_kernel = verifier._containment_kernel
+    flag = int("abba".translate(str.maketrans("ab", "01")), 2)
+
+    def flagging_kernel(codes, n):
+        batch = real_kernel(codes, n)
+        if n == 4:
+            batch.violated[codes == flag] = True
+        return batch
+
+    monkeypatch.setattr(verifier, "_containment_kernel", flagging_kernel)
+    # the per-text route finds no offender, so the two routes disagree
+    with pytest.raises(RuntimeError, match="'abba'"):
+        verify_onoc_lemma_random(seed=0, samples=0, max_len=5, exhaustive=True)
+
+    witness = ((Occurrence(1, 2), Occurrence(2, 4)), Occurrence(3, 4))
+    checked = []
+
+    def witnessing_check(text):
+        checked.append(text)
+        return witness
+
+    monkeypatch.setattr(verifier, "check_onoc_containment", witnessing_check)
+    report = verify_onoc_lemma_random(seed=0, samples=0, max_len=5, exhaustive=True)
+    assert checked == ["abba"]
+    assert report.violations == (("abba", *witness),)
+    assert not report.ok()
+
+    # sampled texts are checked grouped by length but reported in sample order
+    def flag_all(codes, n):
+        return real_kernel(codes, n)._replace(violated=np.ones(len(codes), bool))
+
+    monkeypatch.setattr(verifier, "_containment_kernel", flag_all)
+    report = verify_onoc_lemma_random(seed=5, samples=30, max_len=12)
+    assert [text for text, _, _ in report.violations] == _sampled_texts(5, 30, 12)
 
 
 def test_property_report_json():
@@ -173,3 +282,6 @@ def test_property_report_json():
     assert data["samples"] == 25
     assert data["tested"] == report.tested()
     assert data["violations"] == []
+    assert data["seed"] == 3 and data["max_len"] == 8 and data["requested_samples"] == 25
+    assert data["exhaustive"] is False
+    assert data["wall_time"] == report.wall_time > 0
