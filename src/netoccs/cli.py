@@ -223,6 +223,10 @@ def _cmd_verify(args) -> int:
 
     if args.max_order is not None:
         raise ValueError("verify onoc: --max-order applies to 'verify fib/tm' only")
+    if args.exhaustive:
+        for flag, name in ((args.seed, "--seed"), (args.samples, "--samples")):
+            if flag is not None:
+                raise ValueError(f"verify onoc: {name} applies to sampled runs, not --exhaustive")
     seed = 42 if args.seed is None else args.seed
     samples = 1000 if args.samples is None else args.samples
     max_len = args.max_len if args.max_len is not None else (14 if args.exhaustive else 24)

@@ -3,12 +3,16 @@
 Two independent enumerators are provided and must agree everywhere:
 
 * ``net_occurrences_bruteforce`` — definition-driven oracle. For each start
-  position it finds the largest repeated substring beginning there and then
-  checks the definition directly on that single candidate. One candidate per
-  start suffices: a shorter candidate has a repeated right extension, so it
-  cannot be a net occurrence, and a longer one is not repeated at all. The
-  lengths come from one forward scan of C-speed repeat probes, at most 2n
-  probes for a text of length n (see the function's docstring).
+  position it finds the largest repeated substring beginning there. One
+  candidate per start suffices: a shorter candidate has a repeated right
+  extension, so it cannot be a net occurrence, and a longer one is not
+  repeated at all. The lengths come from one forward scan of C-speed repeat
+  probes, at most 2n probes for a text of length n. A start whose length
+  did not grow past the one resumed from the previous start is settled by
+  the scan itself: its left extension is the repeated string just found one
+  position earlier. Every other candidate, and so every reported record, is
+  checked against the definition by ``is_net_occurrence`` (see the
+  function's docstring).
 * ``net_occurrences_indexed`` — suffix-array route. It computes, for every
   suffix, the maximum common prefix with any other suffix (adjacent maxima of
   the LCP array) and reads the net occurrences off that table without any
@@ -63,8 +67,7 @@ def net_occurrences_bruteforce(text: str) -> list[NetOccurrenceRecord]:
     """All net occurrences, checked against the definition, sorted by start.
 
     A net occurrence starting at s must cover exactly the longest repeated
-    substring starting there, so each start yields at most one candidate;
-    the candidate is then verified letter-for-letter.
+    substring starting there, so each start yields at most one candidate.
 
     The longest repeated length R[s] is found by probing whether a substring
     is repeated (its first and last occurrences differ). Dropping the first
@@ -72,6 +75,13 @@ def net_occurrences_bruteforce(text: str) -> list[NetOccurrenceRecord]:
     R[s] >= R[s-1] - 1: each start resumes from R[s-1] - 1 and extends one
     letter at a time. Every probe either extends or ends a start, so the
     scan makes at most 2n probes in total.
+
+    A start s > 1 that does not extend, R[s] = R[s-1] - 1, is rejected
+    without further search: the candidate's left extension is the
+    length-R[s-1] string at s - 1, which the scan has just proved repeated.
+    Every other candidate goes through ``is_net_occurrence``, so each
+    reported record is still checked against the definition (three
+    ``find``/``rfind`` probes).
     """
     if not text:
         raise ValueError("net_occurrences_bruteforce: empty text")
@@ -79,13 +89,16 @@ def net_occurrences_bruteforce(text: str) -> list[NetOccurrenceRecord]:
     out = []
     length = 0
     for s0 in range(n):
-        length = max(length - 1, 0)
+        resumed = length = max(length - 1, 0)
         while s0 + length < n:
             sub = text[s0 : s0 + length + 1]
             if text.find(sub) == text.rfind(sub):
                 break
             length += 1
-        if length == 0:
+        if length == resumed:
+            # Settled by the scan: either there is no candidate (length 0,
+            # always the case at s0 = 0), or the left extension is the
+            # repeated length-R[s0-1] string just found at s0 - 1.
             continue
         occ = Occurrence(s0 + 1, s0 + length)
         if is_net_occurrence(text, occ):

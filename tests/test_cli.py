@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface via netoccs.cli.run."""
 
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netoccs import cli, verifier
 from netoccs.cli import run
@@ -204,6 +208,69 @@ def test_verify_onoc_exhaustive_cap(monkeypatch, capsys):
     out, err = out_of(capsys)
     assert out == ""
     assert err.startswith("error:") and "21 > 20" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--seed", "7"], ["--samples", "7"], ["--seed", "0", "--samples", "1"]]
+)
+def test_verify_onoc_exhaustive_refuses_sampling_flags(flags, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError(f"checked {args!r} despite the refusal")
+
+    monkeypatch.setattr(verifier, "_containment_kernel", never)
+    assert run(["verify", "onoc", "--exhaustive", "--max-len", "5", *flags, "--json"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and flags[0] in err and "--exhaustive" in err
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_SAMPLED_MAX_LEN = 32
+
+
+def _recording(built, build):
+    def wrapper(*args):
+        built.append(args)
+        return build(*args)
+
+    return wrapper
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    exhaustive=st.booleans(),
+    seed=st.none() | st.integers(-5, 10**6),
+    samples=st.none() | st.integers(-3, 40),
+    max_len=st.none() | st.integers(-3, 10) | st.integers(verifier.EXHAUSTIVE_MAX_LEN + 1, 10**9),
+    as_json=st.booleans(),
+)
+def test_verify_onoc_argv_fuzz(exhaustive, seed, samples, max_len, as_json):
+    argv = ["verify", "onoc"]
+    for flag, value in (("--seed", seed), ("--samples", samples), ("--max-len", max_len)):
+        if value is not None:
+            argv += [flag, str(value)]
+    argv += ["--exhaustive"] * exhaustive + ["--json"] * as_json
+    cap = verifier.EXHAUSTIVE_MAX_LEN if exhaustive else _SAMPLED_MAX_LEN
+    above_cap = max_len is not None and max_len > cap
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_exhaustive_blocks", "_sampled_blocks"):
+            mp.setattr(verifier, name, _recording(built, getattr(verifier, name)))
+        code, out, err = _run_captured(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == "" and err.startswith("error:"), argv
+    elif as_json:
+        json.loads(out)
+    if above_cap:
+        assert code == 2 and not built, argv
 
 
 def test_verify_refuses_malformed_worker_count(monkeypatch, capsys):

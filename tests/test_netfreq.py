@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from netoccs import netfreq
 from netoccs.netfreq import (
     SHORT_TEXT,
     net_frequency,
@@ -37,6 +38,12 @@ SA_TEXTS = {
     **{f"fib-{i}": fib_word(i) for i in range(12, 17)},
     **{f"tm-{i}": tm_word(i) for i in range(9, 13)},
 }
+
+
+def _all_short_texts(max_len):
+    for length in range(1, max_len + 1):
+        for letters in product("ab", repeat=length):
+            yield "".join(letters)
 
 
 def assert_lcp_definitional(text, sa):
@@ -109,15 +116,60 @@ def test_three_routes_agree(text):
 
 
 def test_oracle_matches_literal_reference_on_all_short_texts():
-    for length in range(1, 11):
-        for letters in product("ab", repeat=length):
-            text = "".join(letters)
-            assert occ_pairs(net_occurrences_bruteforce(text)) == reference.net_occurrences(text), text
+    for text in _all_short_texts(10):
+        assert occ_pairs(net_occurrences_bruteforce(text)) == reference.net_occurrences(text), text
 
 
 @pytest.mark.parametrize("text", LONG_TEXTS, ids=lambda t: f"{t[:3]}..{len(t)}")
 def test_oracle_matches_indexed_on_long_texts(text):
     assert net_occurrences_bruteforce(text) == net_occurrences_indexed(text)
+
+
+# Texts over three and four letters: the oracle's reasoning never uses the
+# alphabet, so the literal comparison should not be confined to "ab".
+_rng_wide = random.Random(20251018)
+WIDE_TEXTS = [
+    "".join(_rng_wide.choice(alphabet) for _ in range(_rng_wide.randint(1, 40)))
+    for alphabet in ("abc", "abcd")
+    for _ in range(250)
+]
+
+
+def test_oracle_matches_literal_reference_beyond_binary():
+    for text in WIDE_TEXTS:
+        assert occ_pairs(net_occurrences_bruteforce(text)) == reference.net_occurrences(text), text
+
+
+_rng_verified = random.Random(20251019)
+VERIFIED_TEXTS = (
+    [fib_word(i) for i in range(7, 17)]
+    + [tm_word(i) for i in range(5, 12)]
+    + list(_all_short_texts(10))
+    + [
+        "".join(_rng_verified.choice(alphabet) for _ in range(_rng_verified.randint(1, 300)))
+        for alphabet in ("ab", "abc")
+        for _ in range(40)
+    ]
+)
+
+
+def test_oracle_verifies_exactly_the_records_it_reports(monkeypatch):
+    # The scan settles every start whose repeated length did not grow; what
+    # reaches is_net_occurrence is always a net occurrence, once each.
+    verdicts = []
+    original = netfreq.is_net_occurrence
+
+    def counting(text, occ):
+        verdict = original(text, occ)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(netfreq, "is_net_occurrence", counting)
+    for text in VERIFIED_TEXTS:
+        verdicts.clear()
+        records = net_occurrences_bruteforce(text)
+        assert verdicts == [True] * len(records), text
+        assert records == net_occurrences_indexed(text), text
 
 
 def test_net_frequency_examples():
@@ -156,9 +208,8 @@ def test_records_never_nest(text):
 
 
 def test_records_never_nest_on_every_text_to_length_12():
-    for n in range(1, 13):
-        for letters in product("ab", repeat=n):
-            assert_never_nest("".join(letters))
+    for text in _all_short_texts(12):
+        assert_never_nest(text)
 
 
 def test_suffix_array_small():
