@@ -16,9 +16,11 @@ Two independent enumerators are provided and must agree everywhere:
 * ``net_occurrences_indexed`` — suffix-array route. It computes, for every
   suffix, the maximum common prefix with any other suffix (adjacent maxima of
   the LCP array) and reads the net occurrences off that table without any
-  substring scanning. Its suffix array sorts suffix slices for texts of at
-  most ``SHORT_TEXT`` letters and uses numpy prefix doubling above that
-  (see ``suffix_array``); the LCP array (Kasai) is a linear Python pass.
+  substring scanning. Texts of at most ``SHORT_TEXT`` letters sort suffix
+  slices and take the LCP array from Kasai's linear Python pass. Longer
+  texts use numpy throughout: prefix doubling for the suffix array, the LCP
+  by binary lifting over the rank arrays of the doubling rounds, and the
+  selection of net-occurrence starts (see ``_repeated_prefix``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .occurrences import Occurrence, is_net_occurrence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetOccurrenceRecord:
     """A net occurrence together with its substring and one-letter context."""
 
@@ -49,7 +51,8 @@ class NetOccurrenceRecord:
         }
 
 
-# Longest text for which ``suffix_array`` sorts slices instead of doubling.
+# Longest text that the indexed engine handles in plain Python (sorted suffix
+# slices, Kasai's LCP); longer texts go through numpy.
 SHORT_TEXT = 256
 
 
@@ -112,34 +115,61 @@ def suffix_array(text: str) -> list[int]:
     Texts of at most SHORT_TEXT letters sort their suffix slices, which is
     the definition itself: on tiny texts one C-level sort beats the fixed
     cost of numpy calls, and the slices stay under 33k characters. Longer
-    texts use numpy prefix doubling (Manber & Myers), whose memory stays
-    linear: each round sorts by (rank of the first k letters, rank of the
-    next k) with ``np.lexsort`` and re-ranks, until every rank is distinct.
+    texts use numpy prefix doubling (``_doubling``).
     """
     n = len(text)
     if n <= SHORT_TEXT:
         return sorted(range(n), key=lambda i: text[i:])
-    # Code points and ranks fit in int32. A second key of -1 marks a suffix
-    # that ends inside the first k letters, which sorts before any letter.
-    rank = np.frombuffer(text.encode("utf-32-le"), np.uint32).astype(np.int32)
-    second = np.empty(n, np.int32)
-    differs = np.zeros(n, np.int32)
+    return _doubling(text)[0].tolist()
+
+
+def _doubling(text: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Prefix doubling (Manber & Myers): the suffix array and the rank array
+    of every round but the last.
+
+    Each round sorts by (rank of the first k letters, rank of the next k)
+    with ``np.lexsort`` and re-ranks, until every rank is distinct. The rank
+    array of each round is kept: about log2 of the longest repeated length
+    of them (18 at tm 20). ``levels[j][i]`` ranks the first 2^j letters of
+    the suffix at i (level 0 holds the code points). A suffix that ends
+    inside them sorts on the -1 sentinel and keeps a rank of its own, so two
+    different suffixes share a rank in ``levels[j]`` exactly when both have
+    2^j letters and these agree. Each level has one extra entry, -1 at index
+    n, that matches no suffix. Ranks are stored in the narrowest signed
+    dtype that holds them and the sentinel.
+    """
+    n = len(text)
+    codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+    dtype = np.int16 if max(n, int(codes.max())) < 1 << 15 else np.int32
+    rank = np.empty(n + 1, dtype)
+    rank[:n] = codes
+    rank[n] = -1
+    levels = [rank]
+    second = np.empty(n, dtype)
+    differs = np.zeros(n, dtype)
     k = 1
     while True:
-        second[: n - k] = rank[k:]
+        second[: n - k] = rank[k:n]
         second[n - k :] = -1
-        sa = np.lexsort((second, rank))
+        sa = np.lexsort((second, rank[:n]))
         key1, key2 = rank[sa], second[sa]
         differs[1:] = (key1[1:] != key1[:-1]) | (key2[1:] != key2[:-1])
-        ranks_sorted = np.cumsum(differs)
+        ranks_sorted = np.cumsum(differs, dtype=dtype)
         if ranks_sorted[-1] == n - 1:
-            return sa.tolist()
+            return sa, levels
+        rank = np.empty(n + 1, dtype)
         rank[sa] = ranks_sorted
+        rank[n] = -1
+        levels.append(rank)
         k <<= 1
 
 
 def lcp_array(text: str, sa: list[int]) -> list[int]:
-    """lcp[r] = longest common prefix of sa[r-1] and sa[r] (lcp[0] = 0)."""
+    """lcp[r] = longest common prefix of sa[r-1] and sa[r] (lcp[0] = 0).
+
+    Kasai's linear pass, used for texts of at most SHORT_TEXT letters;
+    longer texts derive the LCP from the doubling ranks (``_repeated_prefix``).
+    """
     n = len(text)
     rank = [0] * n
     for r, s in enumerate(sa):
@@ -160,10 +190,40 @@ def lcp_array(text: str, sa: list[int]) -> list[int]:
     return lcp
 
 
+def _repeated_prefix(text: str) -> np.ndarray:
+    """``repeated_prefix_table`` for texts longer than SHORT_TEXT, as an array.
+
+    The LCP of adjacent suffixes comes from the doubling ranks by binary
+    lifting: from the top level down, a pair whose common prefix is known to
+    be at least h gains 2^j where ``levels[j]`` agrees at the two suffixes h
+    letters in. The rank of the last round is distinct everywhere, so the
+    LCP stays below 2^len(levels) and the lifting reaches it exactly.
+    """
+    n = len(text)
+    sa, levels = _doubling(text)
+    left, right = sa[:-1], sa[1:]
+    h = np.zeros(n - 1, np.int64)
+    for j in range(len(levels) - 1, -1, -1):
+        rank = levels[j]
+        np.add(h, 1 << j, out=h, where=rank[left + h] == rank[right + h])
+    # by_rank[r] = max(lcp[r], lcp[r + 1]), with lcp[0] = lcp[n] = 0.
+    by_rank = np.zeros(n, np.int64)
+    by_rank[1:] = h
+    by_rank[:-1] = np.maximum(by_rank[:-1], h)
+    table = np.empty(n, np.int64)
+    table[sa] = by_rank
+    return table
+
+
 def repeated_prefix_table(text: str) -> list[int]:
     """For each 0-based start s, the length of the longest prefix of the
-    suffix at s that also occurs elsewhere in the text."""
+    suffix at s that also occurs elsewhere in the text: the larger LCP of
+    its suffix with the two neighbours in the suffix array. Texts of at
+    most SHORT_TEXT letters use Kasai's ``lcp_array``; longer ones derive
+    the LCP from the doubling ranks in numpy."""
     n = len(text)
+    if n > SHORT_TEXT:
+        return _repeated_prefix(text).tolist()
     if n == 1:
         return [0]
     sa = suffix_array(text)
@@ -183,19 +243,35 @@ def net_occurrences_indexed(text: str) -> list[NetOccurrenceRecord]:
     With R[s] the longest repeated-substring length at start s, the net
     occurrences are the (s, s+R[s]-1) with R[s] >= 1 whose left extension is
     unique — i.e. s = 1 or R[s-1] <= R[s], since the left extension is the
-    length-(R[s]+1) string starting one position earlier.
+    length-(R[s]+1) string starting one position earlier. Above SHORT_TEXT
+    letters the selection runs in numpy, and records are built only for the
+    selected starts.
     """
     if not text:
         raise ValueError("net_occurrences_indexed: empty text")
-    table = repeated_prefix_table(text)
-    out = []
-    for s0, length in enumerate(table):
-        if length == 0:
-            continue
-        if s0 > 0 and table[s0 - 1] > length:
-            continue
-        out.append(_record(text, Occurrence(s0 + 1, s0 + length)))
-    return out
+    n = len(text)
+    if n > SHORT_TEXT:
+        table = _repeated_prefix(text)
+        keep = table > 0
+        keep[1:] &= table[:-1] <= table[1:]
+        starts = np.flatnonzero(keep)
+        selected = zip(starts.tolist(), (starts + table[starts]).tolist())
+    else:
+        table = repeated_prefix_table(text)
+        selected = [
+            (s0, s0 + length)
+            for s0, length in enumerate(table)
+            if length and (s0 == 0 or table[s0 - 1] <= length)
+        ]
+    return [
+        NetOccurrenceRecord(
+            Occurrence(s0 + 1, e),
+            text[s0:e],
+            text[s0 - 1] if s0 else None,
+            text[e] if e < n else None,
+        )
+        for s0, e in selected
+    ]
 
 
 def net_frequency(text: str, pattern: str) -> int:

@@ -31,7 +31,7 @@ def intersect_positions(a: PositionSet, b: PositionSet) -> PositionSet:
     return tuple(sorted(set(a) & set(b)))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Occurrence:
     """1-based inclusive interval inside a text."""
 

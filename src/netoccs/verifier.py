@@ -238,16 +238,17 @@ def verify_thue_morse(max_order: int) -> VerificationReport:
 @dataclass(frozen=True)
 class PropertyReport:
     """Outcome of the ONOC containment property suite, with its inputs:
-    ``requested_samples`` is the sample count asked for (ignored when
-    exhaustive), ``samples`` the number of texts checked."""
+    ``requested_samples`` is the sample count asked for, ``samples`` the
+    number of texts checked. An exhaustive run draws no sample, so its
+    ``seed`` and ``requested_samples`` are None."""
 
     samples: int
     skipped: int
     violations: tuple[tuple[str, tuple[Occurrence, ...], Occurrence], ...]
-    seed: int
+    seed: int | None
     max_len: int
     exhaustive: bool
-    requested_samples: int
+    requested_samples: int | None
     wall_time: float = field(compare=False)
 
     def tested(self) -> int:
@@ -417,9 +418,10 @@ def verify_onoc_lemma_random(
 ) -> PropertyReport:
     """Check the ONOC containment property on random texts (iid uniform
     letters, lengths uniform on [4, max_len]) or exhaustively on all texts
-    of length 1..max_len (samples ignored). Deterministic for a fixed seed.
-    max_len is capped at 32 when sampling and at EXHAUSTIVE_MAX_LEN when
-    exhaustive; a larger value raises ValueError before any text is built.
+    of length 1..max_len (seed and samples ignored, and reported as None).
+    Deterministic for a fixed seed. max_len must lie in [4, 32] when
+    sampling and in [1, EXHAUSTIVE_MAX_LEN] when exhaustive; any other value
+    raises ValueError before any text is built.
 
     This is the third definition-level route: every text of one length is
     checked as one bit-parallel numpy batch (``_containment_kernel``). Each
@@ -432,6 +434,8 @@ def verify_onoc_lemma_random(
         mode = "exhaustive" if exhaustive else "sampled"
         raise ValueError(f"verify_onoc_lemma_random: {mode} max_len {max_len} > {cap}")
     if exhaustive:
+        if max_len < 1:
+            raise ValueError(f"verify_onoc_lemma_random: exhaustive max_len {max_len} < 1")
         blocks = _exhaustive_blocks(max_len)
     else:
         if samples < 1:
@@ -461,9 +465,9 @@ def verify_onoc_lemma_random(
         samples=total,
         skipped=skipped,
         violations=tuple(violations),
-        seed=seed,
+        seed=None if exhaustive else seed,
         max_len=max_len,
         exhaustive=exhaustive,
-        requested_samples=samples,
+        requested_samples=None if exhaustive else samples,
         wall_time=time.perf_counter() - started,
     )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netoccs import cli, verifier
+from netoccs import cli, verifier, words
 from netoccs.cli import run
 from netoccs.words import fib_word, tm_word
 
@@ -224,6 +224,30 @@ def test_verify_onoc_exhaustive_refuses_sampling_flags(flags, monkeypatch, capsy
     assert err.startswith("error:") and flags[0] in err and "--exhaustive" in err
 
 
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+def test_verify_onoc_exhaustive_refuses_max_len_below_1(max_len, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError(f"built {args!r} despite the refusal")
+
+    monkeypatch.setattr(verifier, "_exhaustive_blocks", never)
+    assert run(["verify", "onoc", "--exhaustive", "--max-len", max_len, "--json"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and f"max_len {max_len} < 1" in err
+
+
+def test_verify_onoc_json_records_its_inputs(capsys):
+    assert run(["verify", "onoc", "--seed", "5", "--samples", "30", "--max-len", "10", "--json"]) == 0
+    sampled = json.loads(out_of(capsys)[0])
+    assert (sampled["seed"], sampled["requested_samples"], sampled["samples"]) == (5, 30, 30)
+    assert sampled["exhaustive"] is False
+    # an exhaustive run draws no sample, so it records no seed or sample count
+    assert run(["verify", "onoc", "--exhaustive", "--max-len", "5", "--json"]) == 0
+    exhaustive = json.loads(out_of(capsys)[0])
+    assert exhaustive["seed"] is None and exhaustive["requested_samples"] is None
+    assert exhaustive["exhaustive"] is True and exhaustive["samples"] == 2**6 - 2
+
+
 def _run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -268,9 +292,52 @@ def test_verify_onoc_argv_fuzz(exhaustive, seed, samples, max_len, as_json):
     if code == 2:
         assert out == "" and err.startswith("error:"), argv
     elif as_json:
-        json.loads(out)
-    if above_cap:
+        data = json.loads(out)
+        assert (data["seed"] is None) == exhaustive, argv
+    below_floor = max_len is not None and max_len < (1 if exhaustive else 4)
+    if above_cap or below_floor:
         assert code == 2 and not built, argv
+
+
+def _first_refused_order(length):
+    return next(k for k in range(1, 64) if length(k) > words.MAX_WORD_LEN)
+
+
+_FIRST_REFUSED = {
+    "fib": _first_refused_order(words.fib_length),
+    "tm": _first_refused_order(words.tm_length),
+}
+
+
+# Orders are drawn from -3..12, whose words are cheap to build and scan, or
+# above the words.MAX_WORD_LEN cap; the orders in between would launch huge
+# runs.
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["gen", "netocc"]),
+    family=st.sampled_from(["fib", "tm"]),
+    small_order=st.integers(-3, 12),
+    excess=st.none() | st.integers(0, 10**9),
+    engine=st.sampled_from([None, "oracle", "indexed"]),
+    flag=st.booleans(),
+)
+def test_word_commands_argv_fuzz(command, family, small_order, excess, engine, flag):
+    order = small_order if excess is None else _FIRST_REFUSED[family] + excess
+    if command == "gen":
+        argv = ["gen", family, "--order", str(order)] + ["--flip"] * flag
+    else:
+        argv = ["netocc", f"--{family}", str(order)] + ["--json"] * flag
+        argv += [] if engine is None else ["--engine", engine]
+    code, out, err = _run_captured(argv)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == "" and err.startswith("error:") and "order" in err, argv
+    assert code == (0 if 1 <= order <= 12 else 2), argv
+    if code == 0 and command == "gen":
+        word = fib_word(order) if family == "fib" else tm_word(order)
+        assert out == (words.flip_word(word) if flag else word) + "\n"
+    elif code == 0 and flag:
+        json.loads(out)
 
 
 def test_verify_refuses_malformed_worker_count(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from itertools import product
 
@@ -38,6 +40,15 @@ SA_TEXTS = {
     **{f"fib-{i}": fib_word(i) for i in range(12, 17)},
     **{f"tm-{i}": tm_word(i) for i in range(9, 13)},
 }
+# Wider alphabets, and letters whose code points need 32-bit ranks.
+_rng_letters = random.Random(20261018)
+SA_TEXTS.update(
+    {
+        f"{alphabet}-{n}": "".join(_rng_letters.choice(alphabet) for _ in range(n))
+        for alphabet in ("abc", "abcd", "\u4e00\U0001f600")
+        for n in _BOUNDARY_LENGTHS
+    }
+)
 
 
 def _all_short_texts(max_len):
@@ -242,3 +253,48 @@ def test_repeated_prefix_table_definition():
             if len(reference.occurrences(sub, text)) >= 2:
                 best = e0 - s0 + 1
         assert table[s0] == best
+
+
+def repeated_prefix_definition(text):
+    """table[s]: the length of the longest prefix of text[s:] that occurs at
+    another position too. A prefix of a repeated string is repeated, so the
+    length is bracketed by doubling and then bisected on "first and last
+    occurrence differ"."""
+
+    def repeated(s, length):
+        head = text[s : s + length]
+        return text.find(head) != text.rfind(head)
+
+    n = len(text)
+    table = []
+    for s in range(n):
+        lo, hi = 0, 1  # repeated at lo; at hi, unknown until the loop ends
+        while hi <= n - s and repeated(s, hi):
+            lo, hi = hi, 2 * hi
+        hi = min(hi, n - s + 1)  # not repeated, or past the end
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if repeated(s, mid) else (lo, mid)
+        table.append(lo)
+    return table
+
+
+@pytest.mark.parametrize("text", list(SA_TEXTS.values()), ids=list(SA_TEXTS))
+def test_indexed_route_is_definitional_across_short_text(text):
+    # Above SHORT_TEXT the table comes from binary lifting over the doubling
+    # ranks; a^n reaches the deepest level (LCP n - 1).
+    assert repeated_prefix_table(text) == repeated_prefix_definition(text)
+    assert net_occurrences_indexed(text) == net_occurrences_bruteforce(text)
+
+
+def test_record_is_a_frozen_hashable_picklable_value():
+    records = net_occurrences_indexed(fib_word(9))
+    rec = records[1]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(records, protocol)) == records
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.substring = "a"
+    copy = dataclasses.replace(rec)
+    assert copy == rec and copy is not rec and hash(copy) == hash(rec)
+    assert len(set(records + records)) == len(records)

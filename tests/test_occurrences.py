@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from netoccs.occurrences import (
@@ -25,6 +28,26 @@ def test_occurrence_validation():
         Occurrence(0, 3)
     with pytest.raises(ValueError):
         Occurrence(5, 2)
+
+
+def test_occurrence_is_a_frozen_ordered_hashable_picklable_value():
+    occ = Occurrence(2, 5)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(occ, protocol))
+        assert back == occ and hash(back) == hash(occ)
+    assert not hasattr(occ, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        occ.start = 1
+    assert {occ, Occurrence(2, 5), Occurrence(2, 6)} == {Occurrence(2, 5), Occurrence(2, 6)}
+    assert sorted([Occurrence(3, 4), Occurrence(1, 6), Occurrence(1, 2)]) == [
+        Occurrence(1, 2),
+        Occurrence(1, 6),
+        Occurrence(3, 4),
+    ]
+    assert Occurrence(1, 6) < Occurrence(2, 3) <= Occurrence(2, 3)
+    for start, end in ((0, 1), (3, 2)):
+        with pytest.raises(ValueError):
+            Occurrence(start, end)
 
 
 def test_find_occurrences_overlapping():

@@ -17,6 +17,8 @@ from netoccs.words import flip_word
 
 texts = st.text(alphabet="ab", min_size=1, max_size=40)
 small_texts = st.text(alphabet="ab", min_size=1, max_size=14)
+# Longer than SHORT_TEXT, so the indexed engine takes its numpy route.
+long_texts = st.text(alphabet="ab", min_size=257, max_size=1500)
 
 
 @given(texts)
@@ -99,3 +101,21 @@ def test_repeated_prefix_table_is_definitional(text):
             if len(reference.occurrences(text[s0 : e0 + 1], text)) >= 2:
                 best = e0 - s0 + 1
         assert table[s0] == best
+
+
+def _repeated(text, sub):
+    return text.find(sub) != text.rfind(sub)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_texts)
+def test_numpy_route_is_definitional(text):
+    assert suffix_array(text) == sorted(range(len(text)), key=lambda k: text[k:])
+    # table[s] letters from s are repeated and one letter more is unique (or
+    # runs off the end); a prefix of a repeated string is repeated, so this
+    # pins table[s] to the longest repeated prefix.
+    n = len(text)
+    for s0, length in enumerate(repeated_prefix_table(text)):
+        assert length == 0 or _repeated(text, text[s0 : s0 + length])
+        assert s0 + length == n or not _repeated(text, text[s0 : s0 + length + 1])
+    assert net_occurrences_indexed(text) == net_occurrences_bruteforce(text)

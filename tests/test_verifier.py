@@ -173,6 +173,17 @@ def test_onoc_lemma_exhaustive_cap_refused_before_any_text(monkeypatch):
         verify_onoc_lemma_random(seed=0, samples=0, max_len=21, exhaustive=True)
 
 
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_onoc_lemma_exhaustive_refuses_max_len_below_1(max_len, monkeypatch):
+    # no text of length below 1 exists, so the sweep would pass vacuously
+    def never(*args):
+        raise AssertionError(f"built {args!r} despite the refusal")
+
+    monkeypatch.setattr(verifier, "_exhaustive_blocks", never)
+    with pytest.raises(ValueError, match=f"exhaustive max_len {max_len} < 1"):
+        verify_onoc_lemma_random(seed=0, samples=0, max_len=max_len, exhaustive=True)
+
+
 def _kernel(texts: list[str]) -> verifier._Batch:
     """The kernel's results for texts of one length, in the given order."""
     n = len(texts[0])
@@ -285,3 +296,7 @@ def test_property_report_json():
     assert data["seed"] == 3 and data["max_len"] == 8 and data["requested_samples"] == 25
     assert data["exhaustive"] is False
     assert data["wall_time"] == report.wall_time > 0
+    # an exhaustive run draws no sample: its seed and sample count are null
+    data = verify_onoc_lemma_random(seed=3, samples=25, max_len=4, exhaustive=True).to_json_dict()
+    assert data["seed"] is None and data["requested_samples"] is None
+    assert data["exhaustive"] is True and data["max_len"] == 4 and data["samples"] == 2**5 - 2
