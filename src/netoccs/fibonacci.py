@@ -26,12 +26,12 @@ from .occurrences import (
 )
 from .occurrences import Occurrence
 from .reports import ClaimResult
-from .words import delta, fib_length, fib_length_ext, fib_word, q_word
+from .words import FIB_MAX_ORDER, delta, fib_length, fib_length_ext, fib_word, q_word
 
 
 def _check_theta_domain(i: int, j: int) -> None:
-    if i < 6:
-        raise ValueError(f"theta_set: order {i} out of domain (need i >= 6)")
+    if not 6 <= i <= FIB_MAX_ORDER:
+        raise ValueError(f"theta_set: order {i} not in 6..{FIB_MAX_ORDER}")
     if not 0 <= j <= i - 4:
         raise ValueError(f"theta_set: offset {j} out of domain for order {i}")
 
@@ -47,12 +47,9 @@ def theta_set(i: int, j: int) -> PositionSet:
     _check_theta_domain(i, j)
     if j <= 1:
         return (1,)
-    prev = theta_set(i, j - 1)
-    shifted = shift_positions(theta_set(i, j - 2), fib_length(i - j))
-    merged = merge_positions(prev, shifted)
-    if j % 2 == 0:
-        merged = merge_positions(merged, (fib_length(i) - fib_length(i - j) + 1,))
-    return merged
+    parts = theta_parts(i, j)
+    rightmost = () if parts.rightmost is None else (parts.rightmost,)
+    return merge_positions(parts.prev, parts.shifted, rightmost)
 
 
 @dataclass(frozen=True)

@@ -127,33 +127,37 @@ def _doubling(text: str) -> tuple[np.ndarray, list[np.ndarray]]:
     """Prefix doubling (Manber & Myers): the suffix array and the rank array
     of every round but the last.
 
-    Each round sorts by (rank of the first k letters, rank of the next k)
-    with ``np.lexsort`` and re-ranks, until every rank is distinct. The rank
-    array of each round is kept: about log2 of the longest repeated length
-    of them (18 at tm 20). ``levels[j][i]`` ranks the first 2^j letters of
-    the suffix at i (level 0 holds the code points). A suffix that ends
-    inside them sorts on the -1 sentinel and keeps a rank of its own, so two
-    different suffixes share a rank in ``levels[j]`` exactly when both have
-    2^j letters and these agree. Each level has one extra entry, -1 at index
-    n, that matches no suffix. Ranks are stored in the narrowest signed
-    dtype that holds them and the sentinel.
+    Each round sorts by (rank of the first k letters, rank of the next k),
+    packed into one int64 key for ``np.argsort``, and re-ranks, until every
+    rank is distinct. Ties need no order, as equal keys get equal ranks.
+    The rank array of each round is kept: about log2 of the longest
+    repeated length of them (18 at tm 20). ``levels[j][i]`` ranks the first
+    2^j letters of the suffix at i (level 0 holds the code points). A suffix
+    that ends inside them sorts on the -1 sentinel and keeps a rank of its
+    own, so two different suffixes share a rank in ``levels[j]`` exactly
+    when both have 2^j letters and these agree. Each level has one extra
+    entry, -1 at index n, that matches no suffix. Ranks are stored in the
+    narrowest signed dtype that holds them and the sentinel.
     """
     n = len(text)
     codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
-    dtype = np.int16 if max(n, int(codes.max())) < 1 << 15 else np.int32
+    top = max(n, int(codes.max()))  # no rank or code point exceeds it
+    dtype = np.int16 if top < 1 << 15 else np.int32
     rank = np.empty(n + 1, dtype)
     rank[:n] = codes
     rank[n] = -1
     levels = [rank]
-    second = np.empty(n, dtype)
+    # key = first * base + second; second (-1 past the end) takes top + 2 values
+    base = top + 2
     differs = np.zeros(n, dtype)
     k = 1
     while True:
-        second[: n - k] = rank[k:n]
-        second[n - k :] = -1
-        sa = np.lexsort((second, rank[:n]))
-        key1, key2 = rank[sa], second[sa]
-        differs[1:] = (key1[1:] != key1[:-1]) | (key2[1:] != key2[:-1])
+        key = np.multiply(rank[:n], base, dtype=np.int64)
+        key[: n - k] += rank[k:n]
+        key[n - k :] -= 1
+        sa = np.argsort(key)
+        sorted_key = key[sa]
+        differs[1:] = sorted_key[1:] != sorted_key[:-1]
         ranks_sorted = np.cumsum(differs, dtype=dtype)
         if ranks_sorted[-1] == n - 1:
             return sa, levels

@@ -10,8 +10,9 @@ Four groups of machine-checkable facts about tm_word(i):
 * re-splitting identities (4, 5 and 9 blocks) and the overlap-/cube-
   freeness scans that back the pattern-word lemmas;
 * the "smallest factorization containing all occurrences" construction:
-  a mutual recurrence over factor lists using order-decrement, letterwise
-  flip, and a splice operator that merges the two central factors.
+  a mutual recurrence over factor patterns (one per offset, shared by
+  every host order) using letterwise flip and a splice operator that
+  merges the two central factors.
 
 ab_sets deliberately stops at offset i-2: one step further the recurrence
 would shift by the length of an order-0 word, which does not exist, and
@@ -36,6 +37,7 @@ from .occurrences import (
 )
 from .reports import ClaimResult
 from .words import (
+    TM_MAX_ORDER,
     Factorization,
     FactorRef,
     lit_ref,
@@ -57,8 +59,8 @@ class OccurrenceSets:
 
 
 def _check_ab_domain(i: int, j: int) -> None:
-    if i < 2:
-        raise ValueError(f"ab_sets: order {i} out of domain (need i >= 2)")
+    if not 2 <= i <= TM_MAX_ORDER:
+        raise ValueError(f"ab_sets: order {i} not in 2..{TM_MAX_ORDER}")
     if not 0 <= j <= i - 2:
         raise ValueError(
             f"ab_sets: offset {j} out of the recurrence domain for order {i}; "
@@ -75,17 +77,10 @@ def ab_sets(i: int, j: int) -> OccurrenceSets:
         return OccurrenceSets(a_set=(1,), b_set=())
     if j == 1:
         return OccurrenceSets(a_set=(1,), b_set=(tm_length(i - 1) + 1,))
-    prev = ab_sets(i, j - 1)
-    back = ab_sets(i, j - 2)
-    near = tm_length(i - j)
-    far = near + tm_length(i - (j + 1))
+    parts = ab_step_parts(i, j)
     return OccurrenceSets(
-        a_set=merge_positions(
-            prev.a_set, shift_positions(prev.b_set, near), shift_positions(back.a_set, far)
-        ),
-        b_set=merge_positions(
-            prev.b_set, shift_positions(prev.a_set, near), shift_positions(back.b_set, far)
-        ),
+        a_set=merge_positions(parts.prev_a, parts.b_shift, parts.a_shift2),
+        b_set=merge_positions(parts.prev_b, parts.a_shift, parts.b_shift2),
     )
 
 
@@ -203,37 +198,23 @@ def predicted_tm_net_occurrences(i: int) -> tuple[Occurrence, ...]:
     return tuple(sorted(occs))
 
 
-def _max_true_run(mask: np.ndarray) -> int:
-    if mask.size == 0:
-        return 0
-    padded = np.concatenate(([0], mask.astype(np.int8), [0]))
-    steps = np.diff(padded)
-    starts = np.flatnonzero(steps == 1)
-    if starts.size == 0:
-        return 0
-    ends = np.flatnonzero(steps == -1)
-    return int((ends - starts).max())
-
-
 def is_overlap_free(text: str) -> bool:
     """No substring of length 2d+1 with period d, for any d >= 1
     (equivalently: no two occurrences of the same string overlap)."""
     arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    n = arr.size
-    for d in range(1, (n - 1) // 2 + 1):
-        if _max_true_run(arr[d:] == arr[:-d]) >= d + 1:
-            return False
-    return True
+    # a run of d + 1 letters equal to the letter d places on spans 2d + 1 letters
+    return not any(
+        b"\1" * (d + 1) in (arr[d:] == arr[:-d]).tobytes() for d in range(1, (arr.size - 1) // 2 + 1)
+    )
 
 
 def is_cube_free(text: str) -> bool:
     """No substring of the form www with w nonempty."""
     arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    n = arr.size
-    for d in range(1, n // 3 + 1):
-        if _max_true_run(arr[d:] == arr[:-d]) >= 2 * d:
-            return False
-    return True
+    # a run of 2d letters equal to the letter d places on spans 3d letters
+    return not any(
+        b"\1" * (2 * d) in (arr[d:] == arr[:-d]).tobytes() for d in range(1, arr.size // 3 + 1)
+    )
 
 
 def check_tm_identities(i: int) -> dict[str, ClaimResult]:
@@ -285,29 +266,38 @@ class SmallestFactorization:
         }
 
 
-def _next_factor(ref: FactorRef) -> FactorRef:
-    if ref.kind not in ("TM", "TMflip") or ref.order < 2:
-        raise ValueError(f"order-decrement undefined for {ref}")
-    return FactorRef(ref.kind, order=ref.order - 1)
+# A factor pattern is a tuple of (flipped, drop) pairs: at host order i and
+# offset j, each pair stands for tm_word(i - j - drop), flipped or not.
+_Pattern = tuple[tuple[bool, int], ...]
+# Each pair's letterwise flip; patterns share these few pair objects.
+_FLIP = {(flipped, drop): (not flipped, drop) for flipped in (False, True) for drop in (0, 1)}
 
 
-def _next_factors(refs: tuple[FactorRef, ...]) -> tuple[FactorRef, ...]:
-    return tuple(_next_factor(r) for r in refs)
-
-
-def _flip_factors(refs: tuple[FactorRef, ...]) -> tuple[FactorRef, ...]:
-    return tuple(r.flipped() for r in refs)
-
-
-def _splice(x: tuple[FactorRef, ...], y: tuple[FactorRef, ...], i: int, j: int) -> tuple[FactorRef, ...]:
-    """Join two factor lists whose touching factors both resolve to the
-    flipped order-(i-j) word, replacing that pair by three factors that
-    spell the same letters with the target word in the middle."""
-    boundary = tm_flip_word(i - j)
-    if not x or not y or x[-1].resolve() != boundary or y[0].resolve() != boundary:
+def _splice(x: _Pattern, y: _Pattern) -> _Pattern:
+    """Join two factor patterns whose touching factors are both the flipped
+    order-(i-j) word, replacing that pair by three factors that spell the
+    same letters with the target word in the middle."""
+    if not x or not y or x[-1] != (True, 0) or y[0] != (True, 0):
         raise ValueError("splice: touching factors are not both the flipped target")
-    middle = (tm_flip_ref(i - j - 1), tm_ref(i - j), tm_ref(i - j - 1))
-    return x[:-1] + middle + y[1:]
+    return x[:-1] + ((True, 1), (False, 0), (False, 1)) + y[1:]
+
+
+@lru_cache(maxsize=None)
+def _pattern(j: int, kind: str) -> _Pattern:
+    """The factor list of the recurrence at offset j, for every host order
+    at once: lowering every order by one maps the list at offset j-1 onto
+    the list at offset j unchanged, so only the offset matters. Each step
+    keeps the same kind's list and appends the other kind's list flipped;
+    kind A splices the two halves at even offsets."""
+    if j == 0:
+        return ((False, 0),) if kind == "A" else ()
+    if j == 1:
+        return ((False, 0), (True, 0))
+    same = _pattern(j - 1, kind)
+    other = tuple(_FLIP[pair] for pair in _pattern(j - 1, "B" if kind == "A" else "A"))
+    if kind == "A" and j % 2 == 0:
+        return _splice(same, other)
+    return same + other
 
 
 def _single_letter_ref(ch: str) -> FactorRef:
@@ -334,28 +324,6 @@ def _letterwise_factors(i: int, target: str) -> tuple[FactorRef, ...]:
     return tuple(factors)
 
 
-@lru_cache(maxsize=None)
-def _factor_list(i: int, j: int, kind: str) -> tuple[FactorRef, ...]:
-    if j == 0:
-        return (tm_ref(i),) if kind == "A" else ()
-    if j == 1:
-        return (tm_ref(i - 1), tm_flip_ref(i - 1))
-    if j == i - 1:
-        # The recurrence would need order-0 factors here; build directly
-        # from the letter positions instead.
-        target = "a" if kind == "A" else "b"
-        return _letterwise_factors(i, target)
-    a_prev = _factor_list(i, j - 1, "A")
-    b_prev = _factor_list(i, j - 1, "B")
-    if kind == "B":
-        return _next_factors(b_prev) + _flip_factors(_next_factors(a_prev))
-    x = _next_factors(a_prev)
-    y = _flip_factors(_next_factors(b_prev))
-    if j % 2 == 0:
-        return _splice(x, y, i, j)
-    return x + y
-
-
 def smallest_factorization(i: int, j: int, kind: str) -> SmallestFactorization:
     """Build the smallest factorization of tm_word(i) containing every
     occurrence of the order-(i-j) target word (kind A) or its flip (kind B)
@@ -363,11 +331,18 @@ def smallest_factorization(i: int, j: int, kind: str) -> SmallestFactorization:
     factorization: the flipped whole word never occurs."""
     if kind not in ("A", "B"):
         raise ValueError(f"smallest_factorization: kind {kind!r} not in A/B")
-    if i < 2:
-        raise ValueError(f"smallest_factorization: order {i} out of domain")
+    if not 2 <= i <= TM_MAX_ORDER:
+        raise ValueError(f"smallest_factorization: order {i} not in 2..{TM_MAX_ORDER}")
     if not 0 <= j <= i - 1:
         raise ValueError(f"smallest_factorization: offset {j} out of domain for order {i}")
-    factors = _factor_list(i, j, kind)
+    if 1 < j == i - 1:
+        # The pattern would need order-0 factors here; build directly from
+        # the letter positions instead.
+        factors = _letterwise_factors(i, "a" if kind == "A" else "b")
+    else:
+        factors = tuple(
+            (tm_flip_ref if flipped else tm_ref)(i - j - drop) for flipped, drop in _pattern(j, kind)
+        )
     target = tm_word(i) if factors else ""
     return SmallestFactorization(
         factorization=Factorization(factors, target), kind=kind, i=i, j=j

@@ -48,7 +48,7 @@ from .thue_morse import (
     smallest_factorization,
     validate_smallest_factorization,
 )
-from .words import fib_word, tm_flip_word, tm_word
+from .words import FIB_MAX_ORDER, TM_MAX_ORDER, fib_word, tm_flip_word, tm_word
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,19 @@ def _all_pass(sub_claims: dict[str, ClaimResult]) -> ClaimResult:
     return ClaimResult(not failed, witness=failed or None)
 
 
-def _net_occurrence_claims(word: str, predicted: tuple[Occurrence, ...]) -> dict[str, ClaimResult]:
+def _offset_table(offsets: Iterable, ok: Callable[..., bool]) -> ClaimResult:
+    """One per-order claim over a table of offsets; the witness lists the
+    offsets where ``ok`` fails."""
+    bad = [j for j in offsets if not ok(j)]
+    return ClaimResult(not bad, witness=bad or None)
+
+
+def _net_occurrence_claims(
+    word: str, predicted: tuple[Occurrence, ...], **before_agree: ClaimResult
+) -> dict[str, ClaimResult]:
     """The claims on a word's net occurrences, from one oracle run: they
     match the prediction, the prediction is a complete ONOC, and the
-    indexed engine agrees with the oracle."""
+    indexed engine agrees with the oracle, reported after ``before_agree``."""
     records = net_occurrences_bruteforce(word)
     actual = tuple(r.occurrence for r in records)
     match = actual == predicted
@@ -102,6 +111,7 @@ def _net_occurrence_claims(word: str, predicted: tuple[Occurrence, ...]) -> dict
             completeness.complete(),
             witness=None if completeness.complete() else completeness.to_json_dict(),
         ),
+        **before_agree,
         "engines_agree": ClaimResult(
             agree,
             witness=None
@@ -113,85 +123,65 @@ def _net_occurrence_claims(word: str, predicted: tuple[Occurrence, ...]) -> dict
 
 def _fib_order_claims(i: int) -> dict[str, ClaimResult]:
     word = fib_word(i)
-    claims: dict[str, ClaimResult] = {}
+    scans = [find_occurrences(fib_word(i - j), word) for j in range(i)]
+    return {
+        "theta_sets_match_oracle": _offset_table(range(i - 3), lambda j: theta_set(i, j) == scans[j]),
+        "theta_step_clauses": _offset_table(range(i - 3), lambda j: theta_step_ok(i, j)),
+        "theta_counts_match_oracle": _offset_table(
+            range(i), lambda j: theta_count(i, j) == len(scans[j])
+        ),
+        "identities": _all_pass(check_fib_identities(i)),
+        "lemmas": _all_pass(check_fib_lemmas(i)),
+        **_net_occurrence_claims(word, predicted_fib_net_occurrences(i)),
+    }
 
-    set_bad = [
-        j
-        for j in range(0, i - 3)
-        if theta_set(i, j) != find_occurrences(fib_word(i - j), word)
-    ]
-    claims["theta_sets_match_oracle"] = ClaimResult(not set_bad, witness=set_bad or None)
 
-    step_bad = [j for j in range(0, i - 3) if not theta_step_ok(i, j)]
-    claims["theta_step_clauses"] = ClaimResult(not step_bad, witness=step_bad or None)
-
-    count_bad = [
-        j
-        for j in range(0, i)
-        if theta_count(i, j) != len(find_occurrences(fib_word(i - j), word))
-    ]
-    claims["theta_counts_match_oracle"] = ClaimResult(not count_bad, witness=count_bad or None)
-
-    claims["identities"] = _all_pass(check_fib_identities(i))
-    claims["lemmas"] = _all_pass(check_fib_lemmas(i))
-
-    claims.update(_net_occurrence_claims(word, predicted_fib_net_occurrences(i)))
-    return claims
+def _factorization_ok(i: int, j: int, kind: str) -> bool:
+    fac = smallest_factorization(i, j, kind)
+    return (
+        validate_smallest_factorization(i, j, kind, fac)
+        and factorization_basis_ok(fac)
+        and factorization_boundary_ok(fac)
+    )
 
 
 def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
     word = tm_word(i)
-    claims: dict[str, ClaimResult] = {}
 
-    set_bad = []
-    for j in range(0, i - 1):
+    def sets_ok(j: int) -> bool:
         sets = ab_sets(i, j)
-        if sets.a_set != find_occurrences(tm_word(i - j), word) or sets.b_set != find_occurrences(
-            tm_flip_word(i - j), word
-        ):
-            set_bad.append(j)
-    claims["occurrence_sets_match_oracle"] = ClaimResult(not set_bad, witness=set_bad or None)
-
-    step_bad = [j for j in range(2, i - 1) if not ab_step_ok(i, j)]
-    claims["recurrence_intersections"] = ClaimResult(not step_bad, witness=step_bad or None)
+        return sets.a_set == find_occurrences(tm_word(i - j), word) and (
+            sets.b_set == find_occurrences(tm_flip_word(i - j), word)
+        )
 
     a_seq, b_seq = ab_counts(i - 2)
-    count_bad = [
-        j
-        for j in range(0, i - 1)
-        if len(ab_sets(i, j).a_set) != a_seq[j] or len(ab_sets(i, j).b_set) != b_seq[j]
-    ]
-    claims["occurrence_counts_match"] = ClaimResult(not count_bad, witness=count_bad or None)
-
     # One offset past the recurrence domain the count recurrence and the word
     # disagree; this is a feature of the recurrence, so the sweep asserts the
     # disagreement rather than papering over it.
     oracle_top = len(find_occurrences("a", word))
     recurrence_top = ab_counts(i - 1)[0][i - 1]
-    claims["top_offset_documented_deviation"] = ClaimResult(
-        oracle_top != recurrence_top,
-        witness={"oracle": oracle_top, "recurrence": recurrence_top},
-    )
-
-    claims["identities"] = _all_pass(check_tm_identities(i))
-
-    claims.update(_net_occurrence_claims(word, predicted_tm_net_occurrences(i)))
-
-    fac_bad = []
-    for j in range(0, i - 1):
-        for kind in ("A", "B"):
-            if j == 0 and kind == "B":
-                continue
-            fac = smallest_factorization(i, j, kind)
-            if not (
-                validate_smallest_factorization(i, j, kind, fac)
-                and factorization_basis_ok(fac)
-                and factorization_boundary_ok(fac)
-            ):
-                fac_bad.append([j, kind])
-    claims["smallest_factorizations_valid"] = ClaimResult(not fac_bad, witness=fac_bad or None)
-    claims["engines_agree"] = claims.pop("engines_agree")  # reported last, after the factorizations
-    return claims
+    # Kind B at offset 0 is the degenerate empty factorization.
+    factorizations = [[j, kind] for j in range(i - 1) for kind in ("A", "B") if j or kind == "A"]
+    return {
+        "occurrence_sets_match_oracle": _offset_table(range(i - 1), sets_ok),
+        "recurrence_intersections": _offset_table(range(2, i - 1), lambda j: ab_step_ok(i, j)),
+        "occurrence_counts_match": _offset_table(
+            range(i - 1),
+            lambda j: (len(ab_sets(i, j).a_set), len(ab_sets(i, j).b_set)) == (a_seq[j], b_seq[j]),
+        ),
+        "top_offset_documented_deviation": ClaimResult(
+            oracle_top != recurrence_top,
+            witness={"oracle": oracle_top, "recurrence": recurrence_top},
+        ),
+        "identities": _all_pass(check_tm_identities(i)),
+        **_net_occurrence_claims(
+            word,
+            predicted_tm_net_occurrences(i),
+            smallest_factorizations_valid=_offset_table(
+                factorizations, lambda jk: _factorization_ok(i, *jk)
+            ),
+        ),
+    }
 
 
 def _worker_count() -> int:
@@ -220,16 +210,16 @@ def _sweep(fn: Callable[[int], dict[str, ClaimResult]], orders: list[int]) -> di
 
 
 def verify_fibonacci(max_order: int) -> VerificationReport:
-    if max_order < 7:
-        raise ValueError(f"verify_fibonacci: max_order {max_order} < 7")
+    if not 7 <= max_order <= FIB_MAX_ORDER:
+        raise ValueError(f"verify_fibonacci: max_order {max_order} not in 7..{FIB_MAX_ORDER}")
     start = time.perf_counter()
     claims = _sweep(_fib_order_claims, list(range(7, max_order + 1)))
     return VerificationReport("Fibonacci", (7, max_order), claims, time.perf_counter() - start)
 
 
 def verify_thue_morse(max_order: int) -> VerificationReport:
-    if max_order < 5:
-        raise ValueError(f"verify_thue_morse: max_order {max_order} < 5")
+    if not 5 <= max_order <= TM_MAX_ORDER:
+        raise ValueError(f"verify_thue_morse: max_order {max_order} not in 5..{TM_MAX_ORDER}")
     start = time.perf_counter()
     claims = _sweep(_tm_order_claims, list(range(5, max_order + 1)))
     return VerificationReport("ThueMorse", (5, max_order), claims, time.perf_counter() - start)

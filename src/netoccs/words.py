@@ -46,7 +46,7 @@ def _check_order(name: str, order: int, max_order: int) -> None:
 def fib_word(order: int) -> str:
     """Fibonacci word of the given order: 'b', 'a', then each word is the
     previous one followed by the one before it."""
-    _check_order("fib_word", order, _FIB_MAX_ORDER)
+    _check_order("fib_word", order, FIB_MAX_ORDER)
     if order == 1:
         return "b"
     if order == 2:
@@ -78,7 +78,7 @@ def fib_length_ext(order: int) -> int:
 def tm_word(order: int) -> str:
     """Thue-Morse word of the given order: 'a', then each word is the
     previous one followed by its flip. Length doubles per order."""
-    _check_order("tm_word", order, _TM_MAX_ORDER)
+    _check_order("tm_word", order, TM_MAX_ORDER)
     if order == 1:
         return "a"
     prev = tm_word(order - 1)
@@ -99,8 +99,8 @@ def tm_length(order: int) -> int:
 
 
 # Largest orders whose words have at most MAX_WORD_LEN letters.
-_FIB_MAX_ORDER = max(k for k in range(1, 64) if fib_length(k) <= MAX_WORD_LEN)
-_TM_MAX_ORDER = max(k for k in range(1, 64) if tm_length(k) <= MAX_WORD_LEN)
+FIB_MAX_ORDER = max(k for k in range(1, 64) if fib_length(k) <= MAX_WORD_LEN)
+TM_MAX_ORDER = max(k for k in range(1, 64) if tm_length(k) <= MAX_WORD_LEN)
 
 
 def q_word(order: int) -> str:
@@ -152,14 +152,6 @@ class FactorRef:
         if self.kind == "TMflip":
             return tm_flip_word(self.order)
         return self.text
-
-    def flipped(self) -> "FactorRef":
-        """The reference to the flipped Thue-Morse word (TM <-> TMflip)."""
-        if self.kind == "TM":
-            return FactorRef("TMflip", order=self.order)
-        if self.kind == "TMflip":
-            return FactorRef("TM", order=self.order)
-        raise ValueError(f"FactorRef: only Thue-Morse references flip, got {self.kind!r}")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "order": self.order, "text": self.text}

@@ -432,3 +432,93 @@ def test_module_entry_point_refuses_huge_order_without_traceback():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("family", ["fib", "tm"])
+def test_verify_refuses_orders_above_the_generator_caps(family, monkeypatch, capsys):
+    def never(i):
+        raise AssertionError(f"ran order {i} despite the cap")
+
+    monkeypatch.setattr(verifier, "_fib_order_claims", never)
+    monkeypatch.setattr(verifier, "_tm_order_claims", never)
+    order = _FIRST_REFUSED[family]
+    assert run(["verify", family, "--max-order", str(order), "--json"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and f"max_order {order} not in" in err
+
+
+def _assert_clean_exit(argv, code, out, err, as_json):
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, argv
+    elif as_json:
+        json.loads(out)
+
+
+# Orders are drawn from -3..12 or above the words.MAX_WORD_LEN cap, as in
+# test_word_commands_argv_fuzz; offsets are counted from 0 or down from the
+# order, so above the cap they reach into the recurrences' domains.
+_ORDER_ARGS = dict(
+    small_order=st.integers(-3, 12),
+    excess=st.none() | st.integers(0, 10**9),
+    offset=st.integers(-3, 15),
+    from_top=st.booleans(),
+    as_json=st.booleans(),
+)
+
+
+def _order_and_offset(family, small_order, excess, offset, from_top):
+    order = small_order if excess is None else _FIRST_REFUSED[family] + excess
+    return order, order - offset if from_top else offset
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["fib", "tm"]), **_ORDER_ARGS)
+def test_occ_sets_argv_fuzz(family, small_order, excess, offset, from_top, as_json):
+    order, j = _order_and_offset(family, small_order, excess, offset, from_top)
+    argv = ["occ-sets", family, "--order", str(order), "--j", str(j)] + ["--json"] * as_json
+    code, out, err = _run_captured(argv)
+    _assert_clean_exit(argv, code, out, err, as_json)
+    lowest, gap = (6, 4) if family == "fib" else (2, 2)
+    in_domain = excess is None and order >= lowest and 0 <= j <= order - gap
+    assert code == (0 if in_domain else 2), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["A", "B"]), **_ORDER_ARGS)
+def test_factorize_argv_fuzz(kind, small_order, excess, offset, from_top, as_json):
+    order, j = _order_and_offset("tm", small_order, excess, offset, from_top)
+    argv = ["factorize", "tm", "--order", str(order), "--j", str(j), "--kind", kind]
+    argv += ["--json"] * as_json
+    code, out, err = _run_captured(argv)
+    _assert_clean_exit(argv, code, out, err, as_json)
+    in_domain = excess is None and order >= 2 and 0 <= j <= order - 1
+    assert code == (0 if in_domain else 2), argv
+
+
+_PAIRS = st.lists(st.tuples(st.integers(-2, 14), st.integers(-2, 14)), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.none() | st.text(alphabet="ab", max_size=12) | st.text(alphabet="abc\n", max_size=6),
+    cover=_PAIRS.map(lambda pairs: (pairs, ";".join(f"{s},{e}" for s, e in pairs)))
+    | st.text(alphabet="0123456789,; -x", max_size=10).map(lambda raw: (None, raw)),
+    as_json=st.booleans(),
+)
+def test_onoc_check_argv_fuzz(tmp_path_factory, text, cover, as_json):
+    path = tmp_path_factory.mktemp("onoc") / "w.txt"
+    if text is not None:  # None: the file is missing
+        path.write_text(text)
+    pairs, raw = cover
+    argv = ["onoc-check", "--text", str(path), f"--cover={raw}"] + ["--json"] * as_json
+    code, out, err = _run_captured(argv)
+    _assert_clean_exit(argv, code, out, err, as_json)
+    if text is None or not re.fullmatch(r"[ab]+\n?", text):
+        assert code == 2, argv
+    elif pairs and all(1 <= s <= e for s, e in pairs):
+        assert code in (0, 1), argv
+    if code != 2 and as_json:
+        assert json.loads(out)["complete"] == (code == 0), argv

@@ -15,7 +15,7 @@ from netoccs.fibonacci import (
 )
 from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence, find_occurrences
-from netoccs.words import fib_length, fib_word
+from netoccs.words import FIB_MAX_ORDER, fib_length, fib_word
 
 from reference import occurrences as ref_occurrences
 
@@ -36,6 +36,15 @@ def test_theta_set_domain_errors():
     for i, j in [(5, 0), (6, -1), (6, 3), (7, 4), (10, 7)]:
         with pytest.raises(ValueError):
             theta_set(i, j)
+
+
+def test_theta_set_refuses_orders_above_the_generator_cap():
+    # Positions inside a word the generator refuses to build mean nothing,
+    # and the lengths of such words are slow to compute.
+    with pytest.raises(ValueError, match=f"{FIB_MAX_ORDER}"):
+        theta_set(FIB_MAX_ORDER + 1, 2)
+    with pytest.raises(ValueError):
+        theta_parts(10**9, 2)
 
 
 @pytest.mark.parametrize("i", range(6, 13))

@@ -1,6 +1,10 @@
 """Tests for the Thue-Morse occurrence-set recurrences, the structural
 identities, and the smallest-factorization constructions."""
 
+import hashlib
+import json
+from itertools import product
+
 import pytest
 
 from netoccs.netfreq import net_occurrences_bruteforce
@@ -20,7 +24,7 @@ from netoccs.thue_morse import (
     smallest_factorization,
     validate_smallest_factorization,
 )
-from netoccs.words import Factorization, flip_word, lit_ref, tm_ref, tm_word
+from netoccs.words import TM_MAX_ORDER, Factorization, fib_word, flip_word, lit_ref, tm_ref, tm_word
 
 
 def oracle_sets(i, j):
@@ -52,6 +56,15 @@ def test_ab_sets_domain_errors():
             ab_sets(i, j)
     with pytest.raises(ValueError):
         ab_step_parts(5, 1)
+
+
+def test_recurrences_refuse_orders_above_the_generator_cap():
+    # The shifts of such an order are integers of about 2^order bits.
+    for order in (TM_MAX_ORDER + 1, 10**9):
+        with pytest.raises(ValueError, match=f"{TM_MAX_ORDER}"):
+            ab_sets(order, 1)
+        with pytest.raises(ValueError, match=f"{TM_MAX_ORDER}"):
+            smallest_factorization(order, order - 2, "A")
 
 
 @pytest.mark.parametrize("i", range(2, 11))
@@ -169,6 +182,32 @@ def test_freeness_scans():
     assert not is_cube_free("ababab")
     assert is_overlap_free(tm_word(8))
     assert is_cube_free(tm_word(8))
+
+
+def _has_overlap(text):
+    """Literal definition: some substring of length 2d + 1 has period d."""
+    n = len(text)
+    return any(
+        text[s : s + d + 1] == text[s + d : s + 2 * d + 1] for d in range(1, n) for s in range(n - 2 * d)
+    )
+
+
+def _has_cube(text):
+    """Literal definition: some substring is www with w nonempty."""
+    n = len(text)
+    return any(
+        text[s : s + d] == text[s + d : s + 2 * d] == text[s + 2 * d : s + 3 * d]
+        for d in range(1, n)
+        for s in range(n - 3 * d + 1)
+    )
+
+
+def test_freeness_scans_match_their_definitions():
+    texts = ["".join(letters) for n in range(13) for letters in product("ab", repeat=n)]
+    texts += [tm_word(i) for i in range(1, 11)] + [fib_word(i) for i in range(1, 15)]
+    for text in texts:
+        assert is_overlap_free(text) == (not _has_overlap(text)), text
+        assert is_cube_free(text) == (not _has_cube(text)), text
 
 
 def test_smallest_factorization_bases():
@@ -297,3 +336,35 @@ def test_factorization_json_shape():
     assert data["kind"] == "B"
     assert data["i"] == 5 and data["j"] == 2
     assert len(data["factors"]) == 4
+
+
+# sha256 (first 16 hex digits) of the sorted-key JSON of every
+# smallest_factorization(i, j, kind) of one order, for j = 0..i-1 and both
+# kinds, recorded from the per-host-order factor-list recurrence that the
+# per-offset patterns replaced.
+FACTORIZATION_DIGESTS = {
+    2: "75e89d9ee167b6f6",
+    3: "c0180a2ae73b38a2",
+    4: "2ba7984ed7ba7067",
+    5: "5d93a4e27db5fecf",
+    6: "22a8b235a92d277b",
+    7: "99a10d0255d3256c",
+    8: "3a3ecffc1884c825",
+    9: "671660dccc10be68",
+    10: "4e61ec8d461fa8d3",
+    11: "cca3fe39483b0e4e",
+    12: "c47d8d3dea8fdb27",
+    13: "c6389a2daac2e1cf",
+    14: "a309fe3dadac387e",
+    15: "7cddf05797efc8bc",
+    16: "513e3609817bd177",
+}
+
+
+@pytest.mark.parametrize("i", sorted(FACTORIZATION_DIGESTS))
+def test_every_factorization_is_pinned(i):
+    payload = [
+        smallest_factorization(i, j, kind).to_json_dict() for j in range(i) for kind in ("A", "B")
+    ]
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == FACTORIZATION_DIGESTS[i]

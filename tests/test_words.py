@@ -99,10 +99,6 @@ def test_factor_ref_resolve_and_flip():
     assert tm_ref(3).resolve() == "abba"
     assert tm_flip_ref(3).resolve() == "baab"
     assert lit_ref("bb").resolve() == "bb"
-    assert tm_ref(3).flipped() == tm_flip_ref(3)
-    assert tm_flip_ref(3).flipped() == tm_ref(3)
-    with pytest.raises(ValueError):
-        lit_ref("bb").flipped()
     assert tm_ref(2).to_json_dict() == {"kind": "TM", "order": 2, "text": None}
 
 
