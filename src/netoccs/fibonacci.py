@@ -82,15 +82,15 @@ def theta_max_position(i: int, j: int) -> int:
     return fib_length(i) - fib_length(ref) + 1
 
 
-def theta_step_ok(i: int, j: int) -> bool:
-    """Verify the step clauses at (i, j): the constituents are pairwise
-    disjoint, their union is theta_set(i, j), and the max matches the
+def theta_step_ok(i: int, j: int, scan: PositionSet) -> bool:
+    """Verify the step clauses at (i, j) against ``scan``, the direct scan
+    of fib_word(i-j) in fib_word(i): the constituents are pairwise
+    disjoint, their union is the scan, and its max matches the
     parity-dependent closed form."""
-    full = theta_set(i, j)
-    if max(full) != theta_max_position(i, j):
+    if max(scan, default=0) != theta_max_position(i, j):
         return False
     if j < 2:
-        return full == (1,)
+        return scan == (1,)
     parts = theta_parts(i, j)
     pieces = [set(parts.prev), set(parts.shifted)]
     if parts.rightmost is not None:
@@ -100,7 +100,7 @@ def theta_step_ok(i: int, j: int) -> bool:
         if union & piece:
             return False
         union |= piece
-    return union == set(full)
+    return union == set(scan)
 
 
 def theta_count(i: int, j: int) -> int:

@@ -13,19 +13,23 @@ Two independent enumerators are provided and must agree everywhere:
   position earlier. Every other candidate, and so every reported record, is
   checked against the definition by ``is_net_occurrence`` (see the
   function's docstring).
-* ``net_occurrences_indexed`` — suffix-array route. It computes, for every
-  suffix, the maximum common prefix with any other suffix (adjacent maxima of
-  the LCP array) and reads the net occurrences off that table without any
+* ``net_occurrences_indexed`` — suffix-array route, in two steps. First the
+  bounds (``_net_bounds``): it computes, for every suffix, the maximum
+  common prefix with any other suffix (adjacent maxima of the LCP array)
+  and reads the net occurrences' bounds off that table without any
   substring scanning. Texts of at most ``SHORT_TEXT`` letters sort suffix
   slices and take the LCP array from Kasai's linear Python pass. Longer
   texts use numpy throughout: prefix doubling for the suffix array, the LCP
   by binary lifting over the rank arrays of the doubling rounds, and the
-  selection of net-occurrence starts (see ``_repeated_prefix``).
+  selection of net-occurrence starts (see ``_repeated_prefix``). Then the
+  records, one per bound: short texts share one Occurrence per span.
+  ``net_frequency`` counts the bounds and builds no record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -241,48 +245,85 @@ def repeated_prefix_table(text: str) -> list[int]:
     return table
 
 
-def net_occurrences_indexed(text: str) -> list[NetOccurrenceRecord]:
-    """Index-based enumerator; must match the brute-force oracle exactly.
+def _net_bounds(text: str) -> Iterable[tuple[int, int]]:
+    """The indexed engine's net occurrences as 0-based half-open bounds
+    (s0, e), in start order: the text's net occurrences are the
+    ``text[s0:e]``.
 
     With R[s] the longest repeated-substring length at start s, the net
-    occurrences are the (s, s+R[s]-1) with R[s] >= 1 whose left extension is
-    unique — i.e. s = 1 or R[s-1] <= R[s], since the left extension is the
+    occurrences are the (s, s+R[s]) with R[s] >= 1 whose left extension is
+    unique, i.e. s = 0 or R[s-1] <= R[s], since the left extension is the
     length-(R[s]+1) string starting one position earlier. Above SHORT_TEXT
-    letters the selection runs in numpy, and records are built only for the
-    selected starts.
+    letters the selection runs in numpy on ``_repeated_prefix``; at or
+    below it, in Python on ``repeated_prefix_table``.
     """
-    if not text:
-        raise ValueError("net_occurrences_indexed: empty text")
-    n = len(text)
-    if n > SHORT_TEXT:
+    if len(text) > SHORT_TEXT:
         table = _repeated_prefix(text)
         keep = table > 0
         keep[1:] &= table[:-1] <= table[1:]
         starts = np.flatnonzero(keep)
-        selected = zip(starts.tolist(), (starts + table[starts]).tolist())
-    else:
-        table = repeated_prefix_table(text)
-        selected = [
-            (s0, s0 + length)
-            for s0, length in enumerate(table)
-            if length and (s0 == 0 or table[s0 - 1] <= length)
-        ]
+        return zip(starts.tolist(), (starts + table[starts]).tolist())
+    table = repeated_prefix_table(text)
     return [
-        NetOccurrenceRecord(
-            Occurrence(s0 + 1, e),
-            text[s0:e],
-            text[s0 - 1] if s0 else None,
-            text[e] if e < n else None,
-        )
-        for s0, e in selected
+        (s0, s0 + length)
+        for s0, length in enumerate(table)
+        if length and (s0 == 0 or table[s0 - 1] <= length)
     ]
+
+
+# The Occurrence of each span (s0, e) of a text of at most SHORT_TEXT
+# letters, keyed by s0 * (SHORT_TEXT + 1) + e. Records are immutable values,
+# so every short text shares these; with 0 <= s0 < e <= SHORT_TEXT the dict
+# never holds more than 256 * 257 / 2 = 32,896 entries.
+_SHARED_OCCURRENCES: dict[int, Occurrence] = {}
+
+# The record's own slot setters: records built here skip the frozen
+# dataclass's __init__, which sets each field through object.__setattr__.
+_SET_OCCURRENCE = NetOccurrenceRecord.occurrence.__set__
+_SET_SUBSTRING = NetOccurrenceRecord.substring.__set__
+_SET_LEFT = NetOccurrenceRecord.left.__set__
+_SET_RIGHT = NetOccurrenceRecord.right.__set__
+
+
+def net_occurrences_indexed(text: str) -> list[NetOccurrenceRecord]:
+    """Index-based enumerator; must match the brute-force oracle exactly.
+
+    First the net occurrences' bounds (``_net_bounds``), then one record per
+    bound. A text of at most SHORT_TEXT letters takes each record's
+    ``occurrence`` from a shared table, so the same span gives the same
+    Occurrence object in every such text and call; longer texts build fresh
+    ones. Each record is filled slot by slot, which gives the same frozen
+    value as the constructor.
+    """
+    if not text:
+        raise ValueError("net_occurrences_indexed: empty text")
+    n = len(text)
+    shared = _SHARED_OCCURRENCES if n <= SHORT_TEXT else None
+    new = object.__new__
+    records = []
+    for s0, e in _net_bounds(text):
+        if shared is None:
+            occ = Occurrence(s0 + 1, e)
+        else:
+            key = s0 * (SHORT_TEXT + 1) + e
+            occ = shared.get(key)
+            if occ is None:
+                occ = shared[key] = Occurrence(s0 + 1, e)
+        rec = new(NetOccurrenceRecord)
+        _SET_OCCURRENCE(rec, occ)
+        _SET_SUBSTRING(rec, text[s0:e])
+        _SET_LEFT(rec, text[s0 - 1] if s0 else None)
+        _SET_RIGHT(rec, text[e] if e < n else None)
+        records.append(rec)
+    return records
 
 
 def net_frequency(text: str, pattern: str) -> int:
     """Number of net occurrences of the pattern; 0 for unique or absent
-    strings."""
+    strings. Counted on the indexed engine's bounds, without records."""
     if not pattern:
         raise ValueError("net_frequency: empty pattern")
     if pattern not in text:
         return 0
-    return sum(1 for rec in net_occurrences_indexed(text) if rec.substring == pattern)
+    m = len(pattern)
+    return sum(1 for s0, e in _net_bounds(text) if e - s0 == m and text.startswith(pattern, s0))

@@ -131,20 +131,21 @@ def ab_step_parts(i: int, j: int) -> ABStepParts:
     )
 
 
-def ab_step_ok(i: int, j: int) -> bool:
-    """Verify both recurrence steps at (i, j): the stated unions, the exact
-    overlap sets between the first two constituents, and emptiness of the
-    other two pairwise intersections."""
+def ab_step_ok(i: int, j: int, scan: OccurrenceSets) -> bool:
+    """Verify both recurrence steps at (i, j) against ``scan``, the direct
+    scans of tm_word(i-j) (a_set) and its flip (b_set) in tm_word(i): the
+    stated unions equal the scans, the overlap sets between the first two
+    constituents are exact, and the other two pairwise intersections are
+    empty."""
     parts = ab_step_parts(i, j)
-    sets = ab_sets(i, j)
     a_ok = (
-        merge_positions(parts.prev_a, parts.b_shift, parts.a_shift2) == sets.a_set
+        merge_positions(parts.prev_a, parts.b_shift, parts.a_shift2) == scan.a_set
         and intersect_positions(parts.prev_a, parts.b_shift) == parts.overlap_a
         and not intersect_positions(parts.prev_a, parts.a_shift2)
         and not intersect_positions(parts.b_shift, parts.a_shift2)
     )
     b_ok = (
-        merge_positions(parts.prev_b, parts.a_shift, parts.b_shift2) == sets.b_set
+        merge_positions(parts.prev_b, parts.a_shift, parts.b_shift2) == scan.b_set
         and intersect_positions(parts.prev_b, parts.a_shift) == parts.overlap_b
         and not intersect_positions(parts.prev_b, parts.b_shift2)
         and not intersect_positions(parts.a_shift, parts.b_shift2)

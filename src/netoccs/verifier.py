@@ -17,6 +17,7 @@ texts it flags are re-checked one by one through the oracle.
 from __future__ import annotations
 
 import os
+import platform
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -38,6 +39,7 @@ from .occurrences import Occurrence, find_occurrences
 from .onoc import bnso_set, bridging, greedy_onoc, prove_completeness, widen
 from .reports import ClaimResult
 from .thue_morse import (
+    OccurrenceSets,
     ab_counts,
     ab_sets,
     ab_step_ok,
@@ -51,12 +53,22 @@ from .thue_morse import (
 from .words import FIB_MAX_ORDER, TM_MAX_ORDER, fib_word, tm_flip_word, tm_word
 
 
+def _versions() -> dict[str, str]:
+    from . import __version__  # the package module imports this one
+
+    return {"netoccs": __version__, "python": platform.python_version(), "numpy": np.__version__}
+
+
 @dataclass(frozen=True)
 class VerificationReport:
+    """A sweep's claims by ``order_<i>/<name>``, with its inputs: the order
+    range and ``workers``, the number of processes the orders ran on."""
+
     family: str
     orders: tuple[int, int]
     claims: dict[str, ClaimResult]
     wall_time: float
+    workers: int
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.claims.values())
@@ -68,6 +80,8 @@ class VerificationReport:
         return {
             "family": self.family,
             "orders": list(self.orders),
+            "workers": self.workers,
+            "versions": _versions(),
             "wall_time": self.wall_time,
             "claims": {k: v.to_json_dict() for k, v in self.claims.items()},
         }
@@ -126,7 +140,7 @@ def _fib_order_claims(i: int) -> dict[str, ClaimResult]:
     scans = [find_occurrences(fib_word(i - j), word) for j in range(i)]
     return {
         "theta_sets_match_oracle": _offset_table(range(i - 3), lambda j: theta_set(i, j) == scans[j]),
-        "theta_step_clauses": _offset_table(range(i - 3), lambda j: theta_step_ok(i, j)),
+        "theta_step_clauses": _offset_table(range(i - 3), lambda j: theta_step_ok(i, j, scans[j])),
         "theta_counts_match_oracle": _offset_table(
             range(i), lambda j: theta_count(i, j) == len(scans[j])
         ),
@@ -145,15 +159,24 @@ def _factorization_ok(i: int, j: int, kind: str) -> bool:
     )
 
 
+def _tm_set_claims(i: int, word: str) -> dict[str, ClaimResult]:
+    """The claims that check the recurrence sets against one direct scan of
+    tm_word(i-j) and its flip per offset. The scans are dropped on return,
+    before the order's heavier claims run."""
+    scans = [
+        OccurrenceSets(
+            find_occurrences(tm_word(i - j), word), find_occurrences(tm_flip_word(i - j), word)
+        )
+        for j in range(i - 1)
+    ]
+    return {
+        "occurrence_sets_match_oracle": _offset_table(range(i - 1), lambda j: ab_sets(i, j) == scans[j]),
+        "recurrence_intersections": _offset_table(range(2, i - 1), lambda j: ab_step_ok(i, j, scans[j])),
+    }
+
+
 def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
     word = tm_word(i)
-
-    def sets_ok(j: int) -> bool:
-        sets = ab_sets(i, j)
-        return sets.a_set == find_occurrences(tm_word(i - j), word) and (
-            sets.b_set == find_occurrences(tm_flip_word(i - j), word)
-        )
-
     a_seq, b_seq = ab_counts(i - 2)
     # One offset past the recurrence domain the count recurrence and the word
     # disagree; this is a feature of the recurrence, so the sweep asserts the
@@ -163,8 +186,7 @@ def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
     # Kind B at offset 0 is the degenerate empty factorization.
     factorizations = [[j, kind] for j in range(i - 1) for kind in ("A", "B") if j or kind == "A"]
     return {
-        "occurrence_sets_match_oracle": _offset_table(range(i - 1), sets_ok),
-        "recurrence_intersections": _offset_table(range(2, i - 1), lambda j: ab_step_ok(i, j)),
+        **_tm_set_claims(i, word),
         "occurrence_counts_match": _offset_table(
             range(i - 1),
             lambda j: (len(ab_sets(i, j).a_set), len(ab_sets(i, j).b_set)) == (a_seq[j], b_seq[j]),
@@ -195,10 +217,17 @@ def _worker_count() -> int:
     return workers
 
 
-def _sweep(fn: Callable[[int], dict[str, ClaimResult]], orders: list[int]) -> dict[str, ClaimResult]:
-    workers = _worker_count()
-    if workers > 1 and len(orders) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(orders))) as pool:
+def _sweep(
+    family: str, fn: Callable[[int], dict[str, ClaimResult]], first: int, last: int
+) -> VerificationReport:
+    """Run ``fn`` on the orders first..last: in a process pool when
+    NETOCC_THREADS asks for more than one worker and there is more than one
+    order, capped at one worker per order."""
+    start = time.perf_counter()
+    orders = list(range(first, last + 1))
+    workers = min(_worker_count(), len(orders))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_order = list(pool.map(fn, orders))
     else:
         per_order = [fn(i) for i in orders]
@@ -206,23 +235,19 @@ def _sweep(fn: Callable[[int], dict[str, ClaimResult]], orders: list[int]) -> di
     for i, claims in zip(orders, per_order):
         for name, result in claims.items():
             merged[f"order_{i}/{name}"] = result
-    return merged
+    return VerificationReport(family, (first, last), merged, time.perf_counter() - start, workers)
 
 
 def verify_fibonacci(max_order: int) -> VerificationReport:
     if not 7 <= max_order <= FIB_MAX_ORDER:
         raise ValueError(f"verify_fibonacci: max_order {max_order} not in 7..{FIB_MAX_ORDER}")
-    start = time.perf_counter()
-    claims = _sweep(_fib_order_claims, list(range(7, max_order + 1)))
-    return VerificationReport("Fibonacci", (7, max_order), claims, time.perf_counter() - start)
+    return _sweep("Fibonacci", _fib_order_claims, 7, max_order)
 
 
 def verify_thue_morse(max_order: int) -> VerificationReport:
     if not 5 <= max_order <= TM_MAX_ORDER:
         raise ValueError(f"verify_thue_morse: max_order {max_order} not in 5..{TM_MAX_ORDER}")
-    start = time.perf_counter()
-    claims = _sweep(_tm_order_claims, list(range(5, max_order + 1)))
-    return VerificationReport("ThueMorse", (5, max_order), claims, time.perf_counter() - start)
+    return _sweep("ThueMorse", _tm_order_claims, 5, max_order)
 
 
 @dataclass(frozen=True)

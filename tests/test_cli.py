@@ -3,14 +3,17 @@
 import contextlib
 import io
 import json
+import platform
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netoccs
 from netoccs import cli, verifier, words
 from netoccs.cli import run
 from netoccs.words import fib_word, tm_word
@@ -338,6 +341,25 @@ def test_word_commands_argv_fuzz(command, family, small_order, excess, engine, f
         assert out == (words.flip_word(word) if flag else word) + "\n"
     elif code == 0 and flag:
         json.loads(out)
+
+
+def test_verify_json_records_workers_and_versions(monkeypatch, capsys):
+    versions = {"netoccs": netoccs.__version__, "python": platform.python_version(), "numpy": np.__version__}
+    texts = []
+    # four workers asked for, two orders to run: two worker processes
+    for threads, workers in (("1", 1), ("4", 2)):
+        monkeypatch.setenv("NETOCC_THREADS", threads)
+        for family in ("fib", "tm"):
+            argv = ["verify", family, "--max-order", "8" if family == "fib" else "6"]
+            assert run(argv + ["--json"]) == 0
+            data = json.loads(out_of(capsys)[0])
+            assert (data["workers"], data["versions"]) == (workers, versions)
+            assert run(argv) == 0
+            *claims, summary = out_of(capsys)[0].splitlines()
+            assert all(line.startswith("PASS ") for line in claims)
+            texts.append((claims, re.sub(r"in \d+\.\d\ds$", "", summary)))
+    # the text report carries neither and does not depend on the worker count
+    assert texts[:2] == texts[2:]
 
 
 def test_verify_refuses_malformed_worker_count(monkeypatch, capsys):

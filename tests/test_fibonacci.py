@@ -56,7 +56,8 @@ def test_theta_set_matches_direct_scan(i):
 @pytest.mark.parametrize("i", range(6, 13))
 def test_theta_step_structure(i):
     for j in range(2, i - 3):
-        assert theta_step_ok(i, j)
+        assert theta_step_ok(i, j, oracle_theta(i, j))
+        assert not theta_step_ok(i, j, oracle_theta(i, j)[1:])  # a scan that misses one
         parts = theta_parts(i, j)
         if j % 2 == 0:
             assert parts.rightmost == theta_max_position(i, j)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import pickle
 import random
 from itertools import product
@@ -8,6 +9,7 @@ import pytest
 from netoccs import netfreq
 from netoccs.netfreq import (
     SHORT_TEXT,
+    NetOccurrenceRecord,
     net_frequency,
     net_occurrences_bruteforce,
     net_occurrences_indexed,
@@ -15,6 +17,7 @@ from netoccs.netfreq import (
     suffix_array,
     lcp_array,
 )
+from netoccs.occurrences import Occurrence
 from netoccs.words import fib_word, tm_word
 
 import reference
@@ -193,6 +196,16 @@ def test_net_frequency_examples():
         net_frequency(f7, "")
 
 
+def test_net_frequency_matches_literal_reference_on_all_short_texts(monkeypatch):
+    # The reference recomputes a text's net occurrences for every pattern;
+    # remember them per text so the sweep stays quick.
+    monkeypatch.setattr(reference, "net_occurrences", functools.cache(reference.net_occurrences))
+    for text in _all_short_texts(10):
+        n = len(text)
+        for pattern in {text[s:e] for s in range(n) for e in range(s + 1, n + 1)}:
+            assert net_frequency(text, pattern) == reference.net_frequency(text, pattern), (text, pattern)
+
+
 @pytest.mark.parametrize("text", ["abaababaabaab", "abbabaabbaababba", "aaaabaaa"])
 def test_net_frequency_sums_to_record_count(text):
     records = net_occurrences_bruteforce(text)
@@ -298,3 +311,51 @@ def test_record_is_a_frozen_hashable_picklable_value():
     copy = dataclasses.replace(rec)
     assert copy == rec and copy is not rec and hash(copy) == hash(rec)
     assert len(set(records + records)) == len(records)
+
+
+# fib 9 (55 letters) takes the shared-occurrence path, tm 10 (512) the fresh one.
+@pytest.mark.parametrize("text", [fib_word(9), tm_word(10)], ids=["fib-9", "tm-10"])
+def test_engine_records_equal_constructed_records(text):
+    records = net_occurrences_indexed(text)
+    assert records == net_occurrences_bruteforce(text)
+    for rec in records:
+        assert type(rec) is NetOccurrenceRecord
+        occ = rec.occurrence
+        built = NetOccurrenceRecord(Occurrence(occ.start, occ.end), rec.substring, rec.left, rec.right)
+        assert rec == built and hash(rec) == hash(built)
+        assert not hasattr(rec, "__dict__")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(rec, protocol))
+            assert type(copy) is NetOccurrenceRecord and copy == rec and hash(copy) == hash(rec)
+        moved = dataclasses.replace(rec, right="z")
+        assert moved.right == "z" and moved.occurrence == occ and moved.substring == rec.substring
+        for field in dataclasses.fields(NetOccurrenceRecord):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, field.name, None)
+
+
+def test_shared_occurrences_never_mix_texts():
+    # Same bounds, different letters: each text keeps its own strings.
+    abab, baba = net_occurrences_indexed("abab"), net_occurrences_indexed("baba")
+    assert [(r.substring, r.left, r.right) for r in abab] == [("ab", None, "a"), ("ab", "b", None)]
+    assert [(r.substring, r.left, r.right) for r in baba] == [("ba", None, "b"), ("ba", "a", None)]
+    assert all(x.occurrence is y.occurrence for x, y in zip(abab, baba))
+    assert abab == net_occurrences_bruteforce("abab") and baba == net_occurrences_bruteforce("baba")
+    # The oracle builds its own occurrences.
+    assert net_occurrences_bruteforce("abab")[0].occurrence is not abab[0].occurrence
+
+
+def test_shared_occurrence_table_is_bounded():
+    table = netfreq._SHARED_OCCURRENCES
+    for text in _all_short_texts(10):
+        net_occurrences_indexed(text)
+    for unit in ("a", "ab", "aab"):
+        net_occurrences_indexed((unit * SHORT_TEXT)[:SHORT_TEXT])
+    assert 0 < len(table) <= SHORT_TEXT * (SHORT_TEXT + 1) // 2 == 32_896
+    for key, occ in table.items():
+        s0, e = divmod(key, SHORT_TEXT + 1)
+        assert 0 <= s0 < e <= SHORT_TEXT and occ == Occurrence(s0 + 1, e)
+    before = dict(table)
+    for text in (tm_word(10), SA_TEXTS["random-3000"], "a" * (SHORT_TEXT + 1)):
+        net_occurrences_indexed(text)
+    assert table == before

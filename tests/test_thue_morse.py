@@ -10,6 +10,7 @@ import pytest
 from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence, find_occurrences
 from netoccs.thue_morse import (
+    OccurrenceSets,
     ab_counts,
     ab_sets,
     ab_step_ok,
@@ -79,7 +80,11 @@ def test_ab_sets_match_direct_scan(i):
 @pytest.mark.parametrize("i", range(4, 11))
 def test_ab_step_structure(i):
     for j in range(2, i - 1):
-        assert ab_step_ok(i, j)
+        a, b = oracle_sets(i, j)
+        assert ab_step_ok(i, j, OccurrenceSets(a, b))
+        # a scan that misses one position
+        assert not ab_step_ok(i, j, OccurrenceSets(a[1:], b))
+        assert not ab_step_ok(i, j, OccurrenceSets(a, b[1:]))
 
 
 def test_ab_step_overlaps_frozen():

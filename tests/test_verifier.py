@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from itertools import product
 
 import numpy as np
 import pytest
 
-from netoccs import onoc, verifier
+from netoccs import fibonacci, onoc, thue_morse, verifier
 from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence
 from netoccs.verifier import (
@@ -116,6 +117,53 @@ def test_sweeps_run_the_oracle_once_per_order(monkeypatch):
     calls.clear()
     assert verify_thue_morse(7).all_passed()
     assert calls == [tm_word(i) for i in range(5, 8)]
+
+
+@pytest.fixture
+def cold_position_sets():
+    """Empty the recurrence caches before and after a test that plants a
+    fault in them, so no faulty set outlives the test."""
+    fibonacci.theta_set.cache_clear()
+    thue_morse.ab_sets.cache_clear()
+    yield
+    fibonacci.theta_set.cache_clear()
+    thue_morse.ab_sets.cache_clear()
+
+
+def test_theta_step_clauses_catch_a_dropped_position(monkeypatch, cold_position_sets):
+    i, j = 10, 4
+    assert verifier._fib_order_claims(i)["theta_step_clauses"].passed
+    true_parts = fibonacci.theta_parts
+
+    def faulty(order, offset):
+        parts = true_parts(order, offset)
+        if (order, offset) == (i, j):  # lose the smallest shifted position
+            parts = dataclasses.replace(parts, shifted=parts.shifted[1:])
+        return parts
+
+    monkeypatch.setattr(fibonacci, "theta_parts", faulty)
+    fibonacci.theta_set.cache_clear()
+    claim = verifier._fib_order_claims(i)["theta_step_clauses"]
+    assert not claim.passed
+    assert claim.witness[0] == j
+
+
+def test_recurrence_intersections_catch_a_dropped_position(monkeypatch, cold_position_sets):
+    i, j = 8, 4
+    assert verifier._tm_order_claims(i)["recurrence_intersections"].passed
+    true_parts = thue_morse.ab_step_parts
+
+    def faulty(order, offset):
+        parts = true_parts(order, offset)
+        if (order, offset) == (i, j):  # lose the smallest twice-shifted a position
+            parts = dataclasses.replace(parts, a_shift2=parts.a_shift2[1:])
+        return parts
+
+    monkeypatch.setattr(thue_morse, "ab_step_parts", faulty)
+    thue_morse.ab_sets.cache_clear()
+    claim = verifier._tm_order_claims(i)["recurrence_intersections"]
+    assert not claim.passed
+    assert claim.witness[0] == j
 
 
 def test_check_onoc_containment():
