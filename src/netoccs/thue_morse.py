@@ -359,7 +359,7 @@ def validate_smallest_factorization(i: int, j: int, kind: str, fac) -> bool:
         raise ValueError("validate_smallest_factorization: input does not flatten to the host word")
     target = tm_word(i - j) if kind == "A" else tm_flip_word(i - j)
     texts = factorization.texts
-    starts = factorization.factor_starts()
+    starts = factorization.starts
     placed = {starts[k] for k, t in enumerate(texts) if t == target}
     if placed != set(find_occurrences(target, word) if target in word else ()):
         return False

@@ -1,10 +1,8 @@
 """Sweep orchestration.
 
 Runs every per-order checker across a range of orders for the two word
-families, and a randomized/exhaustive property suite for the ONOC
-containment lemma. Per-order work is independent; set NETOCC_THREADS to a
-positive integer to farm orders out to a process pool (report merging
-stays deterministic); any other value is refused with ValueError.
+families, one order after another in the calling process, and a
+randomized/exhaustive property suite for the ONOC containment lemma.
 
 The property suite is the third definition-level route, beside the
 brute-force oracle and the suffix-array engine: it encodes each text of
@@ -16,11 +14,9 @@ texts it flags are re-checked one by one through the oracle.
 
 from __future__ import annotations
 
-import os
 import platform
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -61,14 +57,15 @@ def _versions() -> dict[str, str]:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """A sweep's claims by ``order_<i>/<name>``, with its inputs: the order
-    range and ``workers``, the number of processes the orders ran on."""
+    """A sweep's claims by ``order_<i>/<name>``, in order, with the order
+    range it covered, its total wall time and ``order_wall_times``, the
+    seconds each order's claims took."""
 
     family: str
     orders: tuple[int, int]
     claims: dict[str, ClaimResult]
     wall_time: float
-    workers: int
+    order_wall_times: dict[int, float]
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.claims.values())
@@ -80,9 +77,9 @@ class VerificationReport:
         return {
             "family": self.family,
             "orders": list(self.orders),
-            "workers": self.workers,
             "versions": _versions(),
             "wall_time": self.wall_time,
+            "order_wall_times": {str(i): t for i, t in self.order_wall_times.items()},
             "claims": {k: v.to_json_dict() for k, v in self.claims.items()},
         }
 
@@ -206,36 +203,20 @@ def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
     }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("NETOCC_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"NETOCC_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def _sweep(
     family: str, fn: Callable[[int], dict[str, ClaimResult]], first: int, last: int
 ) -> VerificationReport:
-    """Run ``fn`` on the orders first..last: in a process pool when
-    NETOCC_THREADS asks for more than one worker and there is more than one
-    order, capped at one worker per order."""
+    """Run ``fn`` on the orders first..last in turn, timing each order."""
     start = time.perf_counter()
-    orders = list(range(first, last + 1))
-    workers = min(_worker_count(), len(orders))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_order = list(pool.map(fn, orders))
-    else:
-        per_order = [fn(i) for i in orders]
     merged: dict[str, ClaimResult] = {}
-    for i, claims in zip(orders, per_order):
+    order_wall_times: dict[int, float] = {}
+    for i in range(first, last + 1):
+        began = time.perf_counter()
+        claims = fn(i)
+        order_wall_times[i] = time.perf_counter() - began
         for name, result in claims.items():
             merged[f"order_{i}/{name}"] = result
-    return VerificationReport(family, (first, last), merged, time.perf_counter() - start, workers)
+    return VerificationReport(family, (first, last), merged, time.perf_counter() - start, order_wall_times)
 
 
 def verify_fibonacci(max_order: int) -> VerificationReport:
@@ -278,6 +259,7 @@ class PropertyReport:
             "max_len": self.max_len,
             "exhaustive": self.exhaustive,
             "requested_samples": self.requested_samples,
+            "versions": _versions(),
             "wall_time": self.wall_time,
             "samples": self.samples,
             "tested": self.tested(),
@@ -421,10 +403,10 @@ def _sampled_blocks(seed: int, samples: int, max_len: int) -> _Blocks:
 
 
 # Each extra letter doubles an exhaustive sweep and adds a little to each
-# text's cost. Measured in-process with one worker on the 2-vCPU Xeon
-# above: length 16 in 0.35 s, 18 in 1.75 s and 20 in 8.5 s, with peak RSS
-# 31.2, 32.0 and 32.2 MB (blocks bound the memory). At that growth length
-# 22 would take about 40 s, and 32 (2^33 texts) would never finish.
+# text's cost. Measured in-process on the 2-vCPU Xeon above: length 16 in
+# 0.35 s, 18 in 1.75 s and 20 in 8.5 s, with peak RSS 31.2, 32.0 and
+# 32.2 MB (blocks bound the memory). At that growth length 22 would take
+# about 40 s, and 32 (2^33 texts) would never finish.
 EXHAUSTIVE_MAX_LEN = 20
 
 

@@ -199,10 +199,6 @@ class Factorization:
     def flatten(self) -> str:
         return "".join(self.texts)
 
-    def factor_starts(self) -> tuple[int, ...]:
-        """1-based starting position of each factor inside the target."""
-        return self.starts
-
     def to_json_list(self) -> list[dict]:
         return [f.to_json_dict() for f in self.factors]
 

@@ -19,6 +19,7 @@ from netoccs.cli import run
 from netoccs.words import fib_word, tm_word
 
 FIB7 = "abaababaabaab"
+VERSIONS = {"netoccs": netoccs.__version__, "python": platform.python_version(), "numpy": np.__version__}
 
 
 def out_of(capsys):
@@ -243,12 +244,13 @@ def test_verify_onoc_json_records_its_inputs(capsys):
     assert run(["verify", "onoc", "--seed", "5", "--samples", "30", "--max-len", "10", "--json"]) == 0
     sampled = json.loads(out_of(capsys)[0])
     assert (sampled["seed"], sampled["requested_samples"], sampled["samples"]) == (5, 30, 30)
-    assert sampled["exhaustive"] is False
+    assert sampled["exhaustive"] is False and sampled["versions"] == VERSIONS
     # an exhaustive run draws no sample, so it records no seed or sample count
     assert run(["verify", "onoc", "--exhaustive", "--max-len", "5", "--json"]) == 0
     exhaustive = json.loads(out_of(capsys)[0])
     assert exhaustive["seed"] is None and exhaustive["requested_samples"] is None
     assert exhaustive["exhaustive"] is True and exhaustive["samples"] == 2**6 - 2
+    assert exhaustive["versions"] == VERSIONS
 
 
 def _run_captured(argv):
@@ -343,31 +345,35 @@ def test_word_commands_argv_fuzz(command, family, small_order, excess, engine, f
         json.loads(out)
 
 
-def test_verify_json_records_workers_and_versions(monkeypatch, capsys):
-    versions = {"netoccs": netoccs.__version__, "python": platform.python_version(), "numpy": np.__version__}
-    texts = []
-    # four workers asked for, two orders to run: two worker processes
-    for threads, workers in (("1", 1), ("4", 2)):
-        monkeypatch.setenv("NETOCC_THREADS", threads)
-        for family in ("fib", "tm"):
-            argv = ["verify", family, "--max-order", "8" if family == "fib" else "6"]
-            assert run(argv + ["--json"]) == 0
-            data = json.loads(out_of(capsys)[0])
-            assert (data["workers"], data["versions"]) == (workers, versions)
-            assert run(argv) == 0
-            *claims, summary = out_of(capsys)[0].splitlines()
-            assert all(line.startswith("PASS ") for line in claims)
-            texts.append((claims, re.sub(r"in \d+\.\d\ds$", "", summary)))
-    # the text report carries neither and does not depend on the worker count
-    assert texts[:2] == texts[2:]
+def _without_wall_time(report: str) -> str:
+    return re.sub(r"in \d+\.\d\ds$", "", report)
 
 
-def test_verify_refuses_malformed_worker_count(monkeypatch, capsys):
-    monkeypatch.setenv("NETOCC_THREADS", "notanumber")
-    assert run(["verify", "fib", "--max-order", "7"]) == 2
-    out, err = out_of(capsys)
-    assert out == ""
-    assert err.startswith("error:") and "NETOCC_THREADS" in err
+def test_verify_json_records_versions_and_order_times(capsys):
+    for family, last in (("fib", 8), ("tm", 6)):
+        argv = ["verify", family, "--max-order", str(last)]
+        assert run(argv + ["--json"]) == 0
+        data = json.loads(out_of(capsys)[0])
+        assert data["versions"] == VERSIONS
+        assert "workers" not in data
+        assert list(data["order_wall_times"]) == [str(i) for i in range(data["orders"][0], last + 1)]
+        assert run(argv) == 0
+        *claims, summary = out_of(capsys)[0].splitlines()
+        # the text report carries neither
+        assert all(line.startswith("PASS ") for line in claims)
+        assert re.fullmatch(r"\d+/\d+ claims passed in \d+\.\d\ds", summary)
+
+
+def test_verify_ignores_netocc_threads(monkeypatch, capsys):
+    monkeypatch.delenv("NETOCC_THREADS", raising=False)
+    argv = ["verify", "fib", "--max-order", "8"]
+    assert run(argv) == 0
+    unset = _without_wall_time(out_of(capsys)[0])
+    for value in ("notanumber", "4"):
+        monkeypatch.setenv("NETOCC_THREADS", value)
+        assert run(argv) == 0
+        out, err = out_of(capsys)
+        assert (_without_wall_time(out), err) == (unset, "")
 
 
 def test_memory_error_exits_2(monkeypatch, capsys):

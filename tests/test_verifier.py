@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -81,29 +83,26 @@ def test_top_offset_deviation_carries_both_counts():
     assert claim.witness == {"oracle": 8, "recurrence": 11}
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("NETOCC_THREADS", raising=False)
-    assert verifier._worker_count() == 1
-    monkeypatch.setenv("NETOCC_THREADS", "4")
-    assert verifier._worker_count() == 4
-    monkeypatch.setenv("NETOCC_THREADS", "0")
-    with pytest.raises(ValueError, match="NETOCC_THREADS"):
-        verifier._worker_count()
-    monkeypatch.setenv("NETOCC_THREADS", "notanumber")
-    with pytest.raises(ValueError, match="NETOCC_THREADS"):
-        verifier._worker_count()
+@pytest.mark.parametrize("sweep, first, last", [(verify_fibonacci, 7, 10), (verify_thue_morse, 5, 7)])
+def test_sweeps_time_every_order(sweep, first, last):
+    report = sweep(last)
+    times = report.order_wall_times
+    assert list(times) == list(range(first, last + 1))
+    assert all(t >= 0 for t in times.values())
+    assert sum(times.values()) <= report.wall_time
+    assert report.to_json_dict()["order_wall_times"] == {str(i): t for i, t in times.items()}
 
 
-def test_parallel_sweep_matches_serial(monkeypatch):
-    monkeypatch.delenv("NETOCC_THREADS", raising=False)
-    serial = verify_fibonacci(9)
-    monkeypatch.setenv("NETOCC_THREADS", "2")
-    parallel = verify_fibonacci(9)
-    assert serial.claims == parallel.claims
+def test_importing_the_package_starts_no_process_machinery():
+    code = (
+        "import sys, netoccs, netoccs.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_sweeps_run_the_oracle_once_per_order(monkeypatch):
-    monkeypatch.delenv("NETOCC_THREADS", raising=False)
     calls = []
 
     def counting_oracle(text):

@@ -116,7 +116,7 @@ def test_factor_ref_rejects_bad_combinations():
 def test_factorization_must_flatten_to_target():
     fac = Factorization((tm_ref(2), tm_flip_ref(2)), "abba")
     assert fac.flatten() == "abba"
-    assert fac.factor_starts() == (1, 3)
+    assert fac.starts == (1, 3)
     assert fac.texts == ("ab", "ba")
     with pytest.raises(ValueError):
         Factorization((tm_ref(2),), "abba")
