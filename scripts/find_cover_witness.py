@@ -29,7 +29,7 @@ def main() -> int:
             cover = greedy_onoc(text, occs)
             if cover is None or len(occs) == len(cover):
                 continue
-            report = prove_completeness(text, cover)
+            report = prove_completeness(text, cover, occs)
             pairs = " ".join(f"({o.start},{o.end})" for o in occs)
             members = " ".join(f"({o.start},{o.end})" for o in cover)
             extra = " ".join(f"({o.start},{o.end})" for o in report.offending_supers)

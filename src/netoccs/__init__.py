@@ -52,7 +52,6 @@ from .verifier import (
     verify_thue_morse,
 )
 from .words import (
-    Factorization,
     FactorRef,
     delta,
     fib_length,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CompletenessReport",
     "FactorRef",
-    "Factorization",
     "NetOccurrenceRecord",
     "Occurrence",
     "OccurrenceSets",

@@ -178,7 +178,7 @@ def _factor_label(ref) -> str:
 
 def _cmd_factorize(args) -> int:
     fac = smallest_factorization(args.order, args.j, args.kind)
-    factors = fac.factorization.factors
+    factors = fac.factors
     if not factors:
         payload = {"kind": args.kind, "i": args.order, "j": args.j, "factors": [], "degenerate": True}
         text_out = "(empty factorization: the target never occurs)"

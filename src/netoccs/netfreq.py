@@ -232,8 +232,6 @@ def repeated_prefix_table(text: str) -> list[int]:
     n = len(text)
     if n > SHORT_TEXT:
         return _repeated_prefix(text).tolist()
-    if n == 1:
-        return [0]
     sa = suffix_array(text)
     lcp = lcp_array(text, sa)
     table = [0] * n

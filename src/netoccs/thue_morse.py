@@ -12,7 +12,8 @@ Four groups of machine-checkable facts about tm_word(i):
 * the "smallest factorization containing all occurrences" construction:
   a mutual recurrence over factor patterns (one per offset, shared by
   every host order) using letterwise flip and a splice operator that
-  merges the two central factors.
+  merges the two central factors. A factorization built from a pattern
+  repeats one shared FactorRef per factor word; each factor resolves once.
 
 ab_sets deliberately stops at offset i-2: one step further the recurrence
 would shift by the length of an order-0 word, which does not exist, and
@@ -22,8 +23,9 @@ occurrence sets should scan the word directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from .occurrences import (
 from .reports import ClaimResult
 from .words import (
     TM_MAX_ORDER,
-    Factorization,
     FactorRef,
     lit_ref,
     tm_flip_ref,
@@ -251,19 +252,36 @@ def check_tm_identities(i: int) -> dict[str, ClaimResult]:
 class SmallestFactorization:
     """A factorization of tm_word(i) in which every occurrence of the target
     word (tm_word(i-j) for kind A, its flip for kind B) is a whole factor,
-    with the fewest factors possible."""
+    with the fewest factors possible.
 
-    factorization: Factorization
+    Each factor is resolved once, at construction: texts holds the factor
+    words and starts their 1-based starting positions in tm_word(i). The
+    factors must spell tm_word(i); only kind B at offset 0, whose target
+    never occurs, may have none.
+    """
+
+    factors: tuple[FactorRef, ...]
     kind: str
     i: int
     j: int
+    texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        texts = tuple(f.resolve() for f in self.factors)
+        object.__setattr__(self, "texts", texts)
+        object.__setattr__(self, "starts", tuple(accumulate(map(len, texts), initial=1))[:-1])
+        if not texts and (self.kind, self.j) == ("B", 0):
+            return
+        if not all(texts) or "".join(texts) != tm_word(self.i):
+            raise ValueError(f"factors do not spell tm_word({self.i}) in non-empty parts")
 
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
             "i": self.i,
             "j": self.j,
-            "factors": self.factorization.to_json_list(),
+            "factors": [f.to_json_dict() for f in self.factors],
         }
 
 
@@ -301,27 +319,14 @@ def _pattern(j: int, kind: str) -> _Pattern:
     return same + other
 
 
-def _single_letter_ref(ch: str) -> FactorRef:
-    return tm_ref(1) if ch == "a" else tm_flip_ref(1)
-
-
 def _letterwise_factors(i: int, target: str) -> tuple[FactorRef, ...]:
     """Fallback construction when the target is a single letter: one factor
     per target letter, one factor per maximal gap run."""
-    word = tm_word(i)
+    single = {"a": tm_ref(1), "b": tm_flip_ref(1)}
     factors: list[FactorRef] = []
-    pos = 0
-    while pos < len(word):
-        if word[pos] == target:
-            factors.append(_single_letter_ref(target))
-            pos += 1
-            continue
-        run = pos
-        while run < len(word) and word[run] != target:
-            run += 1
-        gap = word[pos:run]
-        factors.append(_single_letter_ref(gap) if len(gap) == 1 else lit_ref(gap))
-        pos = run
+    for letter, run in groupby(tm_word(i)):
+        run = "".join(run)
+        factors += [single[letter]] * len(run) if letter == target else [single.get(run) or lit_ref(run)]
     return tuple(factors)
 
 
@@ -341,31 +346,27 @@ def smallest_factorization(i: int, j: int, kind: str) -> SmallestFactorization:
         # the letter positions instead.
         factors = _letterwise_factors(i, "a" if kind == "A" else "b")
     else:
-        factors = tuple(
-            (tm_flip_ref if flipped else tm_ref)(i - j - drop) for flipped, drop in _pattern(j, kind)
-        )
-    target = tm_word(i) if factors else ""
-    return SmallestFactorization(
-        factorization=Factorization(factors, target), kind=kind, i=i, j=j
-    )
+        # One ref per (flipped, drop) pair, shared by all its factors.
+        refs = {
+            pair: (tm_flip_ref if pair[0] else tm_ref)(i - j - pair[1]) for pair in _FLIP if pair[1] < i - j
+        }
+        factors = tuple(map(refs.__getitem__, _pattern(j, kind)))
+    return SmallestFactorization(factors, kind, i, j)
 
 
-def validate_smallest_factorization(i: int, j: int, kind: str, fac) -> bool:
+def validate_smallest_factorization(i: int, j: int, kind: str, fac: SmallestFactorization) -> bool:
     """True iff the factorization places a whole factor at every occurrence
-    of the target word and never has two adjacent non-target factors."""
-    factorization = fac.factorization if isinstance(fac, SmallestFactorization) else fac
-    word = tm_word(i)
-    if factorization.target != word:
-        raise ValueError("validate_smallest_factorization: input does not flatten to the host word")
+    of the target word and never has two adjacent non-target factors.
+    Raises ValueError for a factorization of another order or one with no
+    factors."""
+    if fac.i != i or not fac.factors:
+        raise ValueError(f"validate_smallest_factorization: need a non-empty factorization of order {i}")
     target = tm_word(i - j) if kind == "A" else tm_flip_word(i - j)
-    texts = factorization.texts
-    starts = factorization.starts
+    texts, starts = fac.texts, fac.starts
     placed = {starts[k] for k, t in enumerate(texts) if t == target}
-    if placed != set(find_occurrences(target, word) if target in word else ()):
+    if placed != set(find_occurrences(target, tm_word(i))):
         return False
-    return all(
-        t1 == target or t2 == target for t1, t2 in zip(texts, texts[1:])
-    )
+    return all(t1 == target or t2 == target for t1, t2 in zip(texts, texts[1:]))
 
 
 def factorization_basis_ok(fac: SmallestFactorization) -> bool:
@@ -376,13 +377,13 @@ def factorization_basis_ok(fac: SmallestFactorization) -> bool:
     basis = {tm_word(high), tm_flip_word(high)}
     if high > 1:
         basis |= {tm_word(high - 1), tm_flip_word(high - 1)}
-    return all(t in basis for t in fac.factorization.texts)
+    return all(t in basis for t in fac.texts)
 
 
 def factorization_boundary_ok(fac: SmallestFactorization) -> bool:
     """First factor resolves to the order-(i-j) word; last factor resolves
     to the same word at even offsets and to its flip at odd offsets."""
-    texts = fac.factorization.texts
+    texts = fac.texts
     if not texts:
         return False
     head = tm_word(fac.i - fac.j)

@@ -1,4 +1,5 @@
-"""Binary words over {a, b}: Fibonacci and Thue-Morse generators and factorizations.
+"""Binary words over {a, b}: the Fibonacci and Thue-Morse generators and
+``FactorRef``, the symbolic factor that Thue-Morse factorizations list.
 
 Words are plain Python strings restricted to the letters 'a' and 'b'.
 All positions exposed by this package are 1-based and inclusive.
@@ -6,9 +7,8 @@ All positions exposed by this package are 1-based and inclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 ALPHABET = ("a", "b")
 
@@ -167,40 +167,6 @@ def tm_flip_ref(order: int) -> FactorRef:
 
 def lit_ref(text: str) -> FactorRef:
     return FactorRef("lit", text=text)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Ordered factor list whose concatenation equals the target word.
-
-    Each factor is resolved once, at construction: texts holds the factor
-    words and starts their 1-based starting positions in the target. The
-    factor list may be empty only for the degenerate empty target.
-    """
-
-    factors: tuple[FactorRef, ...]
-    target: str
-    texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        texts = tuple(f.resolve() for f in self.factors)
-        object.__setattr__(self, "texts", texts)
-        object.__setattr__(self, "starts", tuple(accumulate(map(len, texts), initial=1))[:-1])
-        flat = self.flatten()
-        if flat != self.target:
-            raise ValueError(
-                f"factorization does not flatten to its target "
-                f"({len(flat)} letters vs {len(self.target)})"
-            )
-        if not all(texts):
-            raise ValueError("factorization contains an empty factor")
-
-    def flatten(self) -> str:
-        return "".join(self.texts)
-
-    def to_json_list(self) -> list[dict]:
-        return [f.to_json_dict() for f in self.factors]
 
 
 def read_word_file(path) -> str:

@@ -11,6 +11,7 @@ from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence, find_occurrences
 from netoccs.thue_morse import (
     OccurrenceSets,
+    SmallestFactorization,
     ab_counts,
     ab_sets,
     ab_step_ok,
@@ -25,7 +26,7 @@ from netoccs.thue_morse import (
     smallest_factorization,
     validate_smallest_factorization,
 )
-from netoccs.words import TM_MAX_ORDER, Factorization, fib_word, flip_word, lit_ref, tm_ref, tm_word
+from netoccs.words import TM_MAX_ORDER, fib_word, flip_word, lit_ref, tm_flip_ref, tm_ref, tm_word
 
 
 def oracle_sets(i, j):
@@ -217,12 +218,12 @@ def test_freeness_scans_match_their_definitions():
 
 def test_smallest_factorization_bases():
     fac = smallest_factorization(5, 0, "A")
-    assert [f.resolve() for f in fac.factorization.factors] == [tm_word(5)]
+    assert [f.resolve() for f in fac.factors] == [tm_word(5)]
     fac = smallest_factorization(5, 0, "B")
-    assert fac.factorization.factors == ()  # flipped whole word never occurs
+    assert fac.factors == ()  # flipped whole word never occurs
     for kind in ("A", "B"):
         fac = smallest_factorization(5, 1, kind)
-        assert [f.resolve() for f in fac.factorization.factors] == [
+        assert [f.resolve() for f in fac.factors] == [
             tm_word(4),
             flip_word(tm_word(4)),
         ]
@@ -231,7 +232,7 @@ def test_smallest_factorization_bases():
 def test_smallest_factorization_offset_two_shapes():
     t3, t2 = tm_word(3), tm_word(2)
     fac = smallest_factorization(5, 2, "A")
-    assert [f.resolve() for f in fac.factorization.factors] == [
+    assert [f.resolve() for f in fac.factors] == [
         t3,
         flip_word(t2),
         t3,
@@ -239,7 +240,7 @@ def test_smallest_factorization_offset_two_shapes():
         t3,
     ]
     fac = smallest_factorization(5, 2, "B")
-    assert [f.resolve() for f in fac.factorization.factors] == [
+    assert [f.resolve() for f in fac.factors] == [
         t3,
         flip_word(t3),
         flip_word(t3),
@@ -249,8 +250,8 @@ def test_smallest_factorization_offset_two_shapes():
 
 def test_smallest_factorization_nine_factors_at_offset_three():
     fac = smallest_factorization(5, 3, "A")
-    assert len(fac.factorization.factors) == 9
-    assert fac.factorization.flatten() == tm_word(5)
+    assert len(fac.factors) == 9
+    assert "".join(fac.texts) == tm_word(5)
     assert validate_smallest_factorization(5, 3, "A", fac)
     assert factorization_basis_ok(fac)
     assert factorization_boundary_ok(fac)
@@ -258,14 +259,14 @@ def test_smallest_factorization_nine_factors_at_offset_three():
 
 def test_letterwise_construction_at_top_offset():
     fac = smallest_factorization(3, 2, "A")
-    labels = [(f.kind, f.resolve()) for f in fac.factorization.factors]
+    labels = [(f.kind, f.resolve()) for f in fac.factors]
     assert labels == [("TM", "a"), ("lit", "bb"), ("TM", "a")]
     assert validate_smallest_factorization(3, 2, "A", fac)
     assert factorization_boundary_ok(fac)
     assert not factorization_basis_ok(fac)  # the double-letter gap
 
     fac = smallest_factorization(3, 2, "B")
-    assert [f.resolve() for f in fac.factorization.factors] == ["a", "b", "b", "a"]
+    assert [f.resolve() for f in fac.factors] == ["a", "b", "b", "a"]
     assert validate_smallest_factorization(3, 2, "B", fac)
     assert factorization_basis_ok(fac)
     assert factorization_boundary_ok(fac)
@@ -283,6 +284,37 @@ def test_validate_rejects_degenerate_empty():
         validate_smallest_factorization(5, 0, "B", fac)
 
 
+def test_factorization_must_flatten_to_target():
+    fac = SmallestFactorization((tm_ref(2), tm_flip_ref(2)), "A", 3, 1)
+    assert "".join(fac.texts) == "abba"
+    assert fac.starts == (1, 3)
+    assert fac.texts == ("ab", "ba")
+    with pytest.raises(ValueError):
+        SmallestFactorization((tm_ref(2),), "A", 3, 1)
+
+
+def test_only_kind_b_at_offset_zero_may_have_no_factors():
+    assert SmallestFactorization((), "B", 5, 0).texts == ()
+    for kind, j in [("A", 0), ("A", 2), ("B", 1)]:
+        with pytest.raises(ValueError):
+            SmallestFactorization((), kind, 5, j)
+
+
+def test_factors_share_at_most_four_refs():
+    for i in range(2, 13):
+        for j in range(i - 1):
+            for kind in ("A", "B"):
+                fac = smallest_factorization(i, j, kind)
+                assert len({id(f) for f in fac.factors}) <= 4, (i, j, kind)
+
+
+def test_validate_rejects_a_factorization_of_another_order():
+    fac = smallest_factorization(5, 2, "A")
+    for i in (4, 6):
+        with pytest.raises(ValueError):
+            validate_smallest_factorization(i, 2, "A", fac)
+
+
 def test_validate_rejects_adjacent_gap_factors():
     # Same letters as the letterwise factorization of (4, 3, A), but with
     # the double-letter gap split in two -- not smallest any more.
@@ -297,14 +329,16 @@ def test_validate_rejects_adjacent_gap_factors():
         tm_ref(1),
         lit_ref("b"),
     )
-    fac = Factorization(factors, word)
+    fac = SmallestFactorization(factors, "A", 4, 3)
+    assert "".join(fac.texts) == word
     assert not validate_smallest_factorization(4, 3, "A", fac)
 
 
 def test_validate_rejects_missing_target_placement():
     # Flattens correctly but hides one target occurrence inside a literal.
     word = tm_word(3)
-    fac = Factorization((tm_ref(1), lit_ref("bba")), word)
+    fac = SmallestFactorization((tm_ref(1), lit_ref("bba")), "A", 3, 2)
+    assert "".join(fac.texts) == word
     assert not validate_smallest_factorization(3, 2, "A", fac)
 
 

@@ -3,7 +3,6 @@ import pytest
 from netoccs.words import (
     MAX_WORD_LEN,
     FactorRef,
-    Factorization,
     delta,
     fib_length,
     fib_length_ext,
@@ -111,15 +110,6 @@ def test_factor_ref_rejects_bad_combinations():
         FactorRef("lit", text="xyz")
     with pytest.raises(ValueError):
         FactorRef("Word", order=2)
-
-
-def test_factorization_must_flatten_to_target():
-    fac = Factorization((tm_ref(2), tm_flip_ref(2)), "abba")
-    assert fac.flatten() == "abba"
-    assert fac.starts == (1, 3)
-    assert fac.texts == ("ab", "ba")
-    with pytest.raises(ValueError):
-        Factorization((tm_ref(2),), "abba")
 
 
 def test_read_word_file_roundtrip(tmp_path):
