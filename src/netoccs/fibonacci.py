@@ -15,16 +15,9 @@ Checks return flat claim maps so callers can serialize them uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .occurrences import (
-    PositionSet,
-    find_occurrences,
-    merge_positions,
-    shift_positions,
-)
-from .occurrences import Occurrence
+from .occurrences import Occurrence, PositionSet, Step, find_occurrences, shift_positions
 from .reports import ClaimResult
 from .words import FIB_MAX_ORDER, delta, fib_length, fib_length_ext, fib_word, q_word
 
@@ -47,30 +40,19 @@ def theta_set(i: int, j: int) -> PositionSet:
     _check_theta_domain(i, j)
     if j <= 1:
         return (1,)
-    parts = theta_parts(i, j)
-    rightmost = () if parts.rightmost is None else (parts.rightmost,)
-    return merge_positions(parts.prev, parts.shifted, rightmost)
+    return theta_parts(i, j).union()
 
 
-@dataclass(frozen=True)
-class ThetaParts:
-    """The three recurrence constituents at one step (rightmost only when
-    the offset is even)."""
-
-    prev: PositionSet
-    shifted: PositionSet
-    rightmost: int | None
-
-
-def theta_parts(i: int, j: int) -> ThetaParts:
+def theta_parts(i: int, j: int) -> Step:
+    """The recurrence step at (i, j), 2 <= j <= i-4: the previous level, the
+    level before it shifted by fib_length(i-j), and the rightmost position
+    as a 1-tuple at even offsets (empty at odd ones); no two pieces meet."""
     _check_theta_domain(i, j)
     if j < 2:
         raise ValueError(f"theta_parts: offset {j} has no recurrence step")
-    rightmost = fib_length(i) - fib_length(i - j) + 1 if j % 2 == 0 else None
-    return ThetaParts(
-        prev=theta_set(i, j - 1),
-        shifted=shift_positions(theta_set(i, j - 2), fib_length(i - j)),
-        rightmost=rightmost,
+    rightmost = (fib_length(i) - fib_length(i - j) + 1,) if j % 2 == 0 else ()
+    return Step(
+        (theta_set(i, j - 1), shift_positions(theta_set(i, j - 2), fib_length(i - j)), rightmost)
     )
 
 
@@ -91,16 +73,7 @@ def theta_step_ok(i: int, j: int, scan: PositionSet) -> bool:
         return False
     if j < 2:
         return scan == (1,)
-    parts = theta_parts(i, j)
-    pieces = [set(parts.prev), set(parts.shifted)]
-    if parts.rightmost is not None:
-        pieces.append({parts.rightmost})
-    union: set[int] = set()
-    for piece in pieces:
-        if union & piece:
-            return False
-        union |= piece
-    return union == set(scan)
+    return theta_parts(i, j).matches(scan)
 
 
 def theta_count(i: int, j: int) -> int:

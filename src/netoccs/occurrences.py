@@ -1,5 +1,6 @@
-"""Occurrences in a text: position sets, the occurrence interval, a direct
-scan for all starting positions, and the net-occurrence predicate.
+"""Occurrences in a text: position sets and the recurrence ``Step`` over
+them, the occurrence interval, a direct scan for all starting positions,
+and the net-occurrence predicate.
 
 An occurrence is a 1-based inclusive interval (start, end) of a text. It is a
 net occurrence when the covered substring is repeated in the text while both
@@ -10,6 +11,7 @@ end of the text counts as unique.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 PositionSet = tuple[int, ...]
 
@@ -31,6 +33,29 @@ def intersect_positions(a: PositionSet, b: PositionSet) -> PositionSet:
     return tuple(sorted(set(a) & set(b)))
 
 
+class Step(NamedTuple):
+    """One step of a position-set recurrence: the set is the union of three
+    pieces (the last may be empty), the first two meet exactly in
+    ``overlap``, and every other pair of pieces is disjoint."""
+
+    pieces: tuple[PositionSet, PositionSet, PositionSet]
+    overlap: PositionSet = ()
+
+    def union(self) -> PositionSet:
+        return merge_positions(*self.pieces)
+
+    def matches(self, scan: PositionSet) -> bool:
+        """Every clause of the step holds and the union is ``scan``, a
+        direct scan of the set."""
+        first, second, third = self.pieces
+        return (
+            self.union() == scan
+            and intersect_positions(first, second) == self.overlap
+            and not intersect_positions(first, third)
+            and not intersect_positions(second, third)
+        )
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Occurrence:
     """1-based inclusive interval inside a text."""
@@ -41,9 +66,6 @@ class Occurrence:
     def __post_init__(self) -> None:
         if not 1 <= self.start <= self.end:
             raise ValueError(f"invalid occurrence ({self.start}, {self.end})")
-
-    def length(self) -> int:
-        return self.end - self.start + 1
 
 
 def find_occurrences(pattern: str, text: str) -> PositionSet:

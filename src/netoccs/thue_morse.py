@@ -32,8 +32,8 @@ import numpy as np
 from .occurrences import (
     Occurrence,
     PositionSet,
+    Step,
     find_occurrences,
-    intersect_positions,
     merge_positions,
     shift_positions,
 )
@@ -78,80 +78,43 @@ def ab_sets(i: int, j: int) -> OccurrenceSets:
         return OccurrenceSets(a_set=(1,), b_set=())
     if j == 1:
         return OccurrenceSets(a_set=(1,), b_set=(tm_length(i - 1) + 1,))
-    parts = ab_step_parts(i, j)
-    return OccurrenceSets(
-        a_set=merge_positions(parts.prev_a, parts.b_shift, parts.a_shift2),
-        b_set=merge_positions(parts.prev_b, parts.a_shift, parts.b_shift2),
-    )
+    return OccurrenceSets(*(step.union() for step in ab_step_parts(i, j)))
 
 
-@dataclass(frozen=True)
-class ABStepParts:
-    """Constituents of one recurrence step, for clause-level checking."""
-
-    prev_a: PositionSet
-    b_shift: PositionSet
-    a_shift2: PositionSet
-    overlap_a: PositionSet
-    prev_b: PositionSet
-    a_shift: PositionSet
-    b_shift2: PositionSet
-    overlap_b: PositionSet
-
-
-def ab_step_parts(i: int, j: int) -> ABStepParts:
+def ab_step_parts(i: int, j: int) -> tuple[Step, Step]:
+    """The recurrence steps at (i, j), 2 <= j <= i-2, for the a set and the
+    b set. Each set's pieces are its own previous level, the other set's
+    previous level shifted by tm_length(i-j), and its own level two back
+    shifted further; the overlap of the first two comes from three levels
+    back (empty at j = 2)."""
     _check_ab_domain(i, j)
     if j < 2:
         raise ValueError(f"ab_step_parts: offset {j} has no recurrence step")
     prev = ab_sets(i, j - 1)
     back = ab_sets(i, j - 2)
+    deep = ab_sets(i, j - 3) if j > 2 else OccurrenceSets((), ())
     near = tm_length(i - j)
     far = near + tm_length(i - (j + 1))
-    if j == 2:
-        overlap_a: PositionSet = ()
-        overlap_b: PositionSet = ()
-    else:
-        deep = ab_sets(i, j - 3)
-        mid = tm_length(i - (j - 1)) + near
-        wide = tm_length(i - (j - 2))
-        overlap_a = merge_positions(
-            shift_positions(deep.a_set, mid), shift_positions(deep.b_set, wide)
+    mid = tm_length(i - (j - 1)) + near
+    wide = tm_length(i - (j - 2))
+
+    def step(prev_own, prev_other, back_own, deep_own, deep_other) -> Step:
+        return Step(
+            (prev_own, shift_positions(prev_other, near), shift_positions(back_own, far)),
+            merge_positions(shift_positions(deep_own, mid), shift_positions(deep_other, wide)),
         )
-        overlap_b = merge_positions(
-            shift_positions(deep.a_set, wide), shift_positions(deep.b_set, mid)
-        )
-    return ABStepParts(
-        prev_a=prev.a_set,
-        b_shift=shift_positions(prev.b_set, near),
-        a_shift2=shift_positions(back.a_set, far),
-        overlap_a=overlap_a,
-        prev_b=prev.b_set,
-        a_shift=shift_positions(prev.a_set, near),
-        b_shift2=shift_positions(back.b_set, far),
-        overlap_b=overlap_b,
+
+    return (
+        step(prev.a_set, prev.b_set, back.a_set, deep.a_set, deep.b_set),
+        step(prev.b_set, prev.a_set, back.b_set, deep.b_set, deep.a_set),
     )
 
 
 def ab_step_ok(i: int, j: int, scan: OccurrenceSets) -> bool:
     """Verify both recurrence steps at (i, j) against ``scan``, the direct
-    scans of tm_word(i-j) (a_set) and its flip (b_set) in tm_word(i): the
-    stated unions equal the scans, the overlap sets between the first two
-    constituents are exact, and the other two pairwise intersections are
-    empty."""
-    parts = ab_step_parts(i, j)
-    a_ok = (
-        merge_positions(parts.prev_a, parts.b_shift, parts.a_shift2) == scan.a_set
-        and intersect_positions(parts.prev_a, parts.b_shift) == parts.overlap_a
-        and not intersect_positions(parts.prev_a, parts.a_shift2)
-        and not intersect_positions(parts.b_shift, parts.a_shift2)
-    )
-    b_ok = (
-        merge_positions(parts.prev_b, parts.a_shift, parts.b_shift2) == scan.b_set
-        and intersect_positions(parts.prev_b, parts.a_shift) == parts.overlap_b
-        and not intersect_positions(parts.prev_b, parts.b_shift2)
-        and not intersect_positions(parts.a_shift, parts.b_shift2)
-    )
-    return a_ok and b_ok
+    scans of tm_word(i-j) (a_set) and its flip (b_set) in tm_word(i)."""
+    a_step, b_step = ab_step_parts(i, j)
+    return a_step.matches(scan.a_set) and b_step.matches(scan.b_set)
 
 
 def ab_counts(j_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

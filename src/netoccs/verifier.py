@@ -89,8 +89,9 @@ def _pairs(occs: Iterable[Occurrence]) -> list[list[int]]:
 
 
 def _all_pass(sub_claims: dict[str, ClaimResult]) -> ClaimResult:
-    """Fold sub-claims into one claim; the witness names the failing ones."""
-    failed = [name for name, claim in sub_claims.items() if not claim.passed]
+    """Fold sub-claims into one claim; the witness maps each failing one to
+    its own witness."""
+    failed = {name: claim.witness for name, claim in sub_claims.items() if not claim.passed}
     return ClaimResult(not failed, witness=failed or None)
 
 

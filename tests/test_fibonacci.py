@@ -58,15 +58,13 @@ def test_theta_step_structure(i):
     for j in range(2, i - 3):
         assert theta_step_ok(i, j, oracle_theta(i, j))
         assert not theta_step_ok(i, j, oracle_theta(i, j)[1:])  # a scan that misses one
-        parts = theta_parts(i, j)
+        prev, shifted, rightmost = theta_parts(i, j).pieces
         if j % 2 == 0:
-            assert parts.rightmost == theta_max_position(i, j)
+            assert rightmost == (theta_max_position(i, j),)
         else:
-            assert parts.rightmost is None
+            assert rightmost == ()
         # parts reassemble the set
-        pieces = set(parts.prev) | set(parts.shifted)
-        if parts.rightmost is not None:
-            pieces.add(parts.rightmost)
+        pieces = set(prev) | set(shifted) | set(rightmost)
         assert tuple(sorted(pieces)) == theta_set(i, j)
 
 

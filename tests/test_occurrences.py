@@ -5,6 +5,7 @@ import pytest
 
 from netoccs.occurrences import (
     Occurrence,
+    Step,
     find_occurrences,
     intersect_positions,
     is_net_occurrence,
@@ -21,9 +22,19 @@ def test_position_set_helpers():
     assert intersect_positions((1, 3, 5), (3, 4, 5)) == (3, 5)
 
 
+def test_step_refuses_each_clause_on_its_own():
+    step = Step(((1, 2), (2, 3), (4,)), (2,))
+    assert step.union() == (1, 2, 3, 4)
+    assert step.matches((1, 2, 3, 4))
+    assert not step.matches((1, 2, 3))  # the union is not the scan
+    assert not step.matches((1, 2, 3, 4, 5))
+    assert not Step(step.pieces).matches((1, 2, 3, 4))  # the overlap is wrong
+    assert not Step(((1, 2), (2, 3), (3,)), (2,)).matches((1, 2, 3))  # third meets second
+    assert not Step(((1, 2), (3,), (1,))).matches((1, 2, 3))  # third meets first
+    assert Step(((1, 2), (3,), ())).matches((1, 2, 3))  # an empty third piece
+
+
 def test_occurrence_validation():
-    occ = Occurrence(2, 5)
-    assert occ.length() == 4
     with pytest.raises(ValueError):
         Occurrence(0, 3)
     with pytest.raises(ValueError):

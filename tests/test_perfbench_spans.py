@@ -1,6 +1,7 @@
-"""The traced benchmark run wraps package functions by name, with no
-fallback. Every name it lists must resolve in the package, as
-``module.attr`` or ``module.Class.method``."""
+"""The benchmark names parts of the package with no fallback. The traced
+run wraps package functions by name: every name it lists must resolve in
+the package, as ``module.attr`` or ``module.Class.method``. The ``sweep``
+workload expects every claim of the two sweeps by name."""
 
 import importlib
 import importlib.util
@@ -8,17 +9,19 @@ from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from netoccs.verifier import verify_fibonacci, verify_thue_morse
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_groups():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.GROUPS
+    return module
 
 
-GROUPS = _load_groups()
+GROUPS = _load("spans").GROUPS
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -29,3 +32,9 @@ def test_span_name_resolves_in_package(name):
     for attr in attrs:
         obj = getattr(obj, attr)
     assert callable(obj), name
+
+
+def test_sweep_claim_names_match_the_benchmark():
+    rep = _load("rep")
+    assert set(verify_fibonacci(8).claims) == rep.expected_claims(7, 8, rep.FIB_CLAIMS)
+    assert set(verify_thue_morse(6).claims) == rep.expected_claims(5, 6, rep.TM_CLAIMS)

@@ -89,12 +89,12 @@ def test_ab_step_structure(i):
 
 
 def test_ab_step_overlaps_frozen():
-    parts = ab_step_parts(5, 3)
-    assert parts.overlap_a == (7,)
-    assert parts.overlap_b == (9,)
-    parts = ab_step_parts(5, 2)
-    assert parts.overlap_a == ()
-    assert parts.overlap_b == ()
+    a_step, b_step = ab_step_parts(5, 3)
+    assert a_step.overlap == (7,)
+    assert b_step.overlap == (9,)
+    a_step, b_step = ab_step_parts(5, 2)
+    assert a_step.overlap == ()
+    assert b_step.overlap == ()
 
 
 def test_ab_counts_frozen():

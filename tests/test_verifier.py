@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import subprocess
 import sys
@@ -9,7 +8,8 @@ import pytest
 
 from netoccs import fibonacci, onoc, thue_morse, verifier
 from netoccs.netfreq import net_occurrences_bruteforce
-from netoccs.occurrences import Occurrence
+from netoccs.occurrences import Occurrence, Step
+from netoccs.reports import ClaimResult
 from netoccs.verifier import (
     check_onoc_containment,
     verify_fibonacci,
@@ -129,40 +129,95 @@ def cold_position_sets():
     thue_morse.ab_sets.cache_clear()
 
 
-def test_theta_step_clauses_catch_a_dropped_position(monkeypatch, cold_position_sets):
-    i, j = 10, 4
-    assert verifier._fib_order_claims(i)["theta_step_clauses"].passed
-    true_parts = fibonacci.theta_parts
+def _plant_step_fault(monkeypatch, module, name, at, fault):
+    """Make ``module.name`` return ``fault(parts)`` at ``at``, an (order,
+    offset) pair, and the true parts elsewhere; drop the cached sets."""
+    true_parts = getattr(module, name)
 
     def faulty(order, offset):
         parts = true_parts(order, offset)
-        if (order, offset) == (i, j):  # lose the smallest shifted position
-            parts = dataclasses.replace(parts, shifted=parts.shifted[1:])
-        return parts
+        return fault(parts) if (order, offset) == at else parts
 
-    monkeypatch.setattr(fibonacci, "theta_parts", faulty)
+    monkeypatch.setattr(module, name, faulty)
     fibonacci.theta_set.cache_clear()
+    thue_morse.ab_sets.cache_clear()
+
+
+def _failing(claims):
+    return {name: claim.witness for name, claim in claims.items() if not claim.passed}
+
+
+def test_theta_step_clauses_catch_a_dropped_position(monkeypatch, cold_position_sets):
+    i, j = 10, 4
+    assert verifier._fib_order_claims(i)["theta_step_clauses"].passed
+
+    def drop(step):  # lose the smallest shifted position
+        prev, shifted, rightmost = step.pieces
+        return Step((prev, shifted[1:], rightmost))
+
+    _plant_step_fault(monkeypatch, fibonacci, "theta_parts", (i, j), drop)
     claim = verifier._fib_order_claims(i)["theta_step_clauses"]
     assert not claim.passed
     assert claim.witness[0] == j
 
 
+def test_theta_step_clauses_catch_pieces_that_meet(monkeypatch, cold_position_sets):
+    i, j = 10, 4
+
+    def repeat(step):  # the third piece repeats prev[0]; the union is unchanged
+        prev, shifted, rightmost = step.pieces
+        return Step((prev, shifted, (prev[0], *rightmost)))
+
+    _plant_step_fault(monkeypatch, fibonacci, "theta_parts", (i, j), repeat)
+    claims = verifier._fib_order_claims(i)
+    assert claims["theta_sets_match_oracle"].passed
+    assert _failing(claims) == {"theta_step_clauses": [j]}
+
+
 def test_recurrence_intersections_catch_a_dropped_position(monkeypatch, cold_position_sets):
     i, j = 8, 4
     assert verifier._tm_order_claims(i)["recurrence_intersections"].passed
-    true_parts = thue_morse.ab_step_parts
 
-    def faulty(order, offset):
-        parts = true_parts(order, offset)
-        if (order, offset) == (i, j):  # lose the smallest twice-shifted a position
-            parts = dataclasses.replace(parts, a_shift2=parts.a_shift2[1:])
-        return parts
+    def drop(steps):  # lose the smallest twice-shifted a position
+        a_step, b_step = steps
+        prev, shifted, twice = a_step.pieces
+        return a_step._replace(pieces=(prev, shifted, twice[1:])), b_step
 
-    monkeypatch.setattr(thue_morse, "ab_step_parts", faulty)
-    thue_morse.ab_sets.cache_clear()
+    _plant_step_fault(monkeypatch, thue_morse, "ab_step_parts", (i, j), drop)
     claim = verifier._tm_order_claims(i)["recurrence_intersections"]
     assert not claim.passed
     assert claim.witness[0] == j
+
+
+def test_recurrence_intersections_catch_an_emptied_overlap(monkeypatch, cold_position_sets):
+    i, j = 8, 4
+
+    def empty(steps):  # the sets are unchanged
+        a_step, b_step = steps
+        assert a_step.overlap
+        return a_step._replace(overlap=()), b_step
+
+    _plant_step_fault(monkeypatch, thue_morse, "ab_step_parts", (i, j), empty)
+    assert _failing(verifier._tm_order_claims(i)) == {"recurrence_intersections": [j]}
+
+
+def test_folded_claims_keep_each_failing_witness(monkeypatch):
+    true_lemmas = verifier.check_fib_lemmas
+
+    def planted(i):
+        claims = true_lemmas(i)
+        claims["previous_only_at_1"] = ClaimResult(False, witness=[1, 35])
+        return claims
+
+    monkeypatch.setattr(verifier, "check_fib_lemmas", planted)
+    report = verify_fibonacci(9)
+    assert _failing(report.claims) == {
+        f"order_{i}/lemmas": {"previous_only_at_1": [1, 35]} for i in (7, 8, 9)
+    }
+    assert report.to_json_dict()["claims"]["order_9/lemmas"] == {
+        "pass": False,
+        "witness": {"previous_only_at_1": [1, 35]},
+    }
 
 
 def test_check_onoc_containment():
