@@ -15,10 +15,11 @@ Checks return flat claim maps so callers can serialize them uniformly.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import islice
+from typing import Iterator
 
 from .occurrences import Occurrence, PositionSet, Step, find_occurrences, shift_positions
-from .reports import ClaimResult
+from .reports import ClaimResult, same_word
 from .words import FIB_MAX_ORDER, delta, fib_length, fib_length_ext, fib_word, q_word
 
 
@@ -29,31 +30,32 @@ def _check_theta_domain(i: int, j: int) -> None:
         raise ValueError(f"theta_set: offset {j} out of domain for order {i}")
 
 
-@lru_cache(maxsize=None)
+def theta_steps(i: int) -> Iterator[Step]:
+    """The recurrence steps for the starting positions of fib_word(i-j)
+    inside fib_word(i), offsets 0..i-4 in turn; the order is checked on the
+    call. Offset 0 is the base (1,). Each later step's pieces are the
+    previous level, the level before it (empty before offset 0) shifted by
+    fib_length(i-j), and the rightmost position as a 1-tuple at even offsets
+    (empty at odd ones); no two pieces meet. Only two levels are kept."""
+    _check_theta_domain(i, 0)
+
+    def steps() -> Iterator[Step]:
+        back, prev = (), (1,)
+        yield Step((prev, (), ()))
+        for j in range(1, i - 3):
+            rightmost = (fib_length(i) - fib_length(i - j) + 1,) if j % 2 == 0 else ()
+            step = Step((prev, shift_positions(back, fib_length(i - j)), rightmost))
+            yield step
+            back, prev = prev, step.union()
+
+    return steps()
+
+
 def theta_set(i: int, j: int) -> PositionSet:
-    """Starting positions of fib_word(i-j) inside fib_word(i), 0 <= j <= i-4.
-
-    Computed by the two-track recurrence: each level unions the previous
-    level with a shifted copy of the level before it, plus (at even offsets)
-    one extra rightmost position.
-    """
+    """Starting positions of fib_word(i-j) inside fib_word(i), 0 <= j <= i-4:
+    the union of the recurrence step at offset j, built from offset 0 up."""
     _check_theta_domain(i, j)
-    if j <= 1:
-        return (1,)
-    return theta_parts(i, j).union()
-
-
-def theta_parts(i: int, j: int) -> Step:
-    """The recurrence step at (i, j), 2 <= j <= i-4: the previous level, the
-    level before it shifted by fib_length(i-j), and the rightmost position
-    as a 1-tuple at even offsets (empty at odd ones); no two pieces meet."""
-    _check_theta_domain(i, j)
-    if j < 2:
-        raise ValueError(f"theta_parts: offset {j} has no recurrence step")
-    rightmost = (fib_length(i) - fib_length(i - j) + 1,) if j % 2 == 0 else ()
-    return Step(
-        (theta_set(i, j - 1), shift_positions(theta_set(i, j - 2), fib_length(i - j)), rightmost)
-    )
+    return next(islice(theta_steps(i), j, None)).union()
 
 
 def theta_max_position(i: int, j: int) -> int:
@@ -64,16 +66,12 @@ def theta_max_position(i: int, j: int) -> int:
     return fib_length(i) - fib_length(ref) + 1
 
 
-def theta_step_ok(i: int, j: int, scan: PositionSet) -> bool:
-    """Verify the step clauses at (i, j) against ``scan``, the direct scan
-    of fib_word(i-j) in fib_word(i): the constituents are pairwise
+def theta_step_ok(i: int, j: int, step: Step, scan: PositionSet) -> bool:
+    """Verify ``step``, the recurrence step at (i, j), against ``scan``, the
+    direct scan of fib_word(i-j) in fib_word(i): the pieces are pairwise
     disjoint, their union is the scan, and its max matches the
     parity-dependent closed form."""
-    if max(scan, default=0) != theta_max_position(i, j):
-        return False
-    if j < 2:
-        return scan == (1,)
-    return theta_parts(i, j).matches(scan)
+    return max(scan, default=0) == theta_max_position(i, j) and step.matches(scan)
 
 
 def theta_count(i: int, j: int) -> int:
@@ -143,22 +141,17 @@ def check_fib_identities(i: int) -> dict[str, ClaimResult]:
         raise ValueError(f"check_fib_identities: order {i} < 6")
     word = fib_word(i)
     claims = {
-        "split_mid_copy": ClaimResult(
-            word == fib_word(i - 2) + fib_word(i - 3) + fib_word(i - 2)
-        ),
-        "split_double_prefix": ClaimResult(
-            word == fib_word(i - 2) + fib_word(i - 2) + fib_word(i - 5) + fib_word(i - 4)
+        "split_mid_copy": same_word(word, fib_word(i - 2) + fib_word(i - 3) + fib_word(i - 2)),
+        "split_double_prefix": same_word(
+            word, fib_word(i - 2) + fib_word(i - 2) + fib_word(i - 5) + fib_word(i - 4)
         ),
     }
     if i >= 7:
         q = q_word(i)
-        claims["tail_pair_forward"] = ClaimResult(
-            fib_word(i - 4) + fib_word(i - 5) == q + delta(1 - (i % 2))
-        )
-        claims["tail_pair_reversed"] = ClaimResult(
-            fib_word(i - 5) + fib_word(i - 4) == q + delta(i % 2)
-        )
-        claims["q_length"] = ClaimResult(len(q) == fib_length(i - 3) - 2)
+        claims["tail_pair_forward"] = same_word(fib_word(i - 4) + fib_word(i - 5), q + delta(1 - (i % 2)))
+        claims["tail_pair_reversed"] = same_word(fib_word(i - 5) + fib_word(i - 4), q + delta(i % 2))
+        lengths = [len(q), fib_length(i - 3) - 2]
+        claims["q_length"] = ClaimResult(lengths[0] == lengths[1], witness=lengths)
     return claims
 
 
@@ -168,28 +161,18 @@ def check_fib_lemmas(i: int) -> dict[str, ClaimResult]:
     if i < 7:
         raise ValueError(f"check_fib_lemmas: order {i} < 7")
     word = fib_word(i)
-    n = fib_length(i)
-    claims: dict[str, ClaimResult] = {}
-
-    sq = find_occurrences(word, word + word)
-    claims["square_two_occurrences"] = ClaimResult(sq == (1, n + 1), witness=list(sq))
-
-    prev_occ = find_occurrences(fib_word(i - 1), word)
-    claims["previous_only_at_1"] = ClaimResult(prev_occ == (1,), witness=list(prev_occ))
-
-    second = find_occurrences(fib_word(i - 2), word)
-    expect2 = (1, fib_length(i - 2) + 1, fib_length(i - 1) + 1)
-    claims["second_previous_positions"] = ClaimResult(second == expect2, witness=list(second))
-
-    third = find_occurrences(fib_word(i - 3), word)
-    expect3 = (1, fib_length(i - 3) + 1, fib_length(i - 2) + 1, fib_length(i - 1) + 1)
-    claims["third_previous_positions"] = ClaimResult(third == expect3, witness=list(third))
-
+    L = fib_length
     core = fib_word(i - 2) + q_word(i)
-    core_occ = find_occurrences(core, word)
-    claims["core_block_positions"] = ClaimResult(
-        core_occ == (1, fib_length(i - 2) + 1), witness=list(core_occ)
-    )
+    claims: dict[str, ClaimResult] = {}
+    for name, pattern, host, expected in (
+        ("square_two_occurrences", word, word + word, (1, L(i) + 1)),
+        ("previous_only_at_1", fib_word(i - 1), word, (1,)),
+        ("second_previous_positions", fib_word(i - 2), word, (1, L(i - 2) + 1, L(i - 1) + 1)),
+        ("third_previous_positions", fib_word(i - 3), word, (1, L(i - 3) + 1, L(i - 2) + 1, L(i - 1) + 1)),
+        ("core_block_positions", core, word, (1, L(i - 2) + 1)),
+    ):
+        found = find_occurrences(pattern, host)
+        claims[name] = ClaimResult(found == expected, witness=list(found))
 
     # q_word(6) is not defined; the truncated suffix word degenerates to the
     # empty word there, making the follower claim vacuous at order 7.
@@ -198,10 +181,9 @@ def check_fib_lemmas(i: int) -> dict[str, ClaimResult]:
     claims["third_previous_follower"] = ClaimResult(ok, witness=bad)
 
     extended = fib_word(i - 3) + fib_word(i - 6) + fib_word(i - 5)
-    claims["extended_block_unique"] = ClaimResult(
-        _unique_in(word, extended)
-        and _unique_in(word, extended[: fib_length(i - 2) - 1])
-    )
+    probes = {"extended_block": extended, "extended_block_prefix": extended[: L(i - 2) - 1]}
+    repeated = [name for name, sub in probes.items() if not _unique_in(word, sub)]
+    claims["extended_block_unique"] = ClaimResult(not repeated, witness=repeated or None)
 
     stem = fib_word(i - 3)
     ok, bad = _followed_by(word, stem[:-1], stem[-1], require_room=False)

@@ -4,16 +4,19 @@ Four groups of machine-checkable facts about tm_word(i):
 
 * mutual recurrences for the starting positions of tm_word(i-j) and its
   letterwise flip inside tm_word(i), with explicit overlap sets at each
-  step, plus the Jacobsthal-style count recurrences;
+  step, read offset by offset from one generator that keeps three levels,
+  plus the Jacobsthal-style count recurrences;
 * the nine predicted net occurrences (three pattern words and their
   flips at fixed positions);
 * re-splitting identities (4, 5 and 9 blocks) and the overlap-/cube-
   freeness scans that back the pattern-word lemmas;
 * the "smallest factorization containing all occurrences" construction:
-  a mutual recurrence over factor patterns (one per offset, shared by
+  a mutual recurrence over factor patterns (one per offset, the same for
   every host order) using letterwise flip and a splice operator that
-  merges the two central factors. A factorization built from a pattern
-  repeats one shared FactorRef per factor word; each factor resolves once.
+  merges the two central factors. Each call builds both kinds' patterns
+  in one loop up to its offset and keeps none. A factorization built from
+  a pattern repeats one shared FactorRef per factor word; each factor
+  resolves once.
 
 ab_sets deliberately stops at offset i-2: one step further the recurrence
 would shift by the length of an order-0 word, which does not exist, and
@@ -24,8 +27,8 @@ occurrence sets should scan the word directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .occurrences import (
     merge_positions,
     shift_positions,
 )
-from .reports import ClaimResult
+from .reports import ClaimResult, same_word
 from .words import (
     TM_MAX_ORDER,
     FactorRef,
@@ -69,51 +72,54 @@ def _check_ab_domain(i: int, j: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+def ab_steps(i: int) -> Iterator[tuple[Step, Step]]:
+    """The recurrence steps for the a set and the b set of tm_word(i),
+    offsets 0..i-2 in turn; the order is checked on the call. Offset 0 is
+    the base: a set (1,), b set empty. At each later offset, each set's
+    pieces are its own previous level, the other set's previous level
+    shifted by tm_length(i-j), and its own level two back shifted further;
+    the overlap of the first two comes from three levels back. Levels
+    before offset 0 are empty; only the last three are kept."""
+    _check_ab_domain(i, 0)
+
+    def steps() -> Iterator[tuple[Step, Step]]:
+        deep = back = OccurrenceSets((), ())
+        prev = OccurrenceSets((1,), ())
+        yield Step((prev.a_set, (), ())), Step((prev.b_set, (), ()))
+        for j in range(1, i - 1):
+            near = tm_length(i - j)
+            far = near + tm_length(i - (j + 1))
+            mid = tm_length(i - (j - 1)) + near
+            wide = tm_length(i - (j - 2))
+
+            def step(prev_own, prev_other, back_own, deep_own, deep_other) -> Step:
+                return Step(
+                    (prev_own, shift_positions(prev_other, near), shift_positions(back_own, far)),
+                    merge_positions(shift_positions(deep_own, mid), shift_positions(deep_other, wide)),
+                )
+
+            a_step = step(prev.a_set, prev.b_set, back.a_set, deep.a_set, deep.b_set)
+            b_step = step(prev.b_set, prev.a_set, back.b_set, deep.b_set, deep.a_set)
+            yield a_step, b_step
+            deep, back, prev = back, prev, OccurrenceSets(a_step.union(), b_step.union())
+
+    return steps()
+
+
 def ab_sets(i: int, j: int) -> OccurrenceSets:
     """Occurrence positions of tm_word(i-j) / flipped tm_word(i-j) inside
-    tm_word(i), for 0 <= j <= i-2, via the mutual shift recurrences."""
+    tm_word(i), for 0 <= j <= i-2: the unions of the recurrence steps at
+    offset j, built from offset 0 up."""
     _check_ab_domain(i, j)
-    if j == 0:
-        return OccurrenceSets(a_set=(1,), b_set=())
-    if j == 1:
-        return OccurrenceSets(a_set=(1,), b_set=(tm_length(i - 1) + 1,))
-    return OccurrenceSets(*(step.union() for step in ab_step_parts(i, j)))
+    a_step, b_step = next(islice(ab_steps(i), j, None))
+    return OccurrenceSets(a_step.union(), b_step.union())
 
 
-def ab_step_parts(i: int, j: int) -> tuple[Step, Step]:
-    """The recurrence steps at (i, j), 2 <= j <= i-2, for the a set and the
-    b set. Each set's pieces are its own previous level, the other set's
-    previous level shifted by tm_length(i-j), and its own level two back
-    shifted further; the overlap of the first two comes from three levels
-    back (empty at j = 2)."""
-    _check_ab_domain(i, j)
-    if j < 2:
-        raise ValueError(f"ab_step_parts: offset {j} has no recurrence step")
-    prev = ab_sets(i, j - 1)
-    back = ab_sets(i, j - 2)
-    deep = ab_sets(i, j - 3) if j > 2 else OccurrenceSets((), ())
-    near = tm_length(i - j)
-    far = near + tm_length(i - (j + 1))
-    mid = tm_length(i - (j - 1)) + near
-    wide = tm_length(i - (j - 2))
-
-    def step(prev_own, prev_other, back_own, deep_own, deep_other) -> Step:
-        return Step(
-            (prev_own, shift_positions(prev_other, near), shift_positions(back_own, far)),
-            merge_positions(shift_positions(deep_own, mid), shift_positions(deep_other, wide)),
-        )
-
-    return (
-        step(prev.a_set, prev.b_set, back.a_set, deep.a_set, deep.b_set),
-        step(prev.b_set, prev.a_set, back.b_set, deep.b_set, deep.a_set),
-    )
-
-
-def ab_step_ok(i: int, j: int, scan: OccurrenceSets) -> bool:
-    """Verify both recurrence steps at (i, j) against ``scan``, the direct
-    scans of tm_word(i-j) (a_set) and its flip (b_set) in tm_word(i)."""
-    a_step, b_step = ab_step_parts(i, j)
+def ab_step_ok(steps: tuple[Step, Step], scan: OccurrenceSets) -> bool:
+    """Verify ``steps``, the a and b recurrence steps at one offset, against
+    ``scan``, the direct scans of tm_word(i-j) (a_set) and its flip (b_set)
+    in tm_word(i)."""
+    a_step, b_step = steps
     return a_step.matches(scan.a_set) and b_step.matches(scan.b_set)
 
 
@@ -193,14 +199,10 @@ def check_tm_identities(i: int) -> dict[str, ClaimResult]:
     t4 = tm_word(i - 4)
     f2, f3, f4 = tm_flip_word(i - 2), tm_flip_word(i - 3), tm_flip_word(i - 4)
     claims = {
-        "quarter_split": ClaimResult(word == t2 + f2 + f2 + t2),
-        "five_block_split": ClaimResult(word == t2 + f3 + t2 + t3 + t2),
-        "nine_block_split_a": ClaimResult(
-            word == t3 + f4 + t4 + f3 + t2 + t4 + f3 + f4 + f3
-        ),
-        "nine_block_split_b": ClaimResult(
-            word == t3 + f4 + t3 + t4 + t2 + t4 + f4 + t3 + f3
-        ),
+        "quarter_split": same_word(word, t2 + f2 + f2 + t2),
+        "five_block_split": same_word(word, t2 + f3 + t2 + t3 + t2),
+        "nine_block_split_a": same_word(word, t3 + f4 + t4 + f3 + t2 + t4 + f3 + f4 + f3),
+        "nine_block_split_b": same_word(word, t3 + f4 + t3 + t4 + t2 + t4 + f4 + t3 + f3),
     }
     if i <= 12:
         claims["overlap_free"] = ClaimResult(is_overlap_free(word))
@@ -264,22 +266,21 @@ def _splice(x: _Pattern, y: _Pattern) -> _Pattern:
     return x[:-1] + ((True, 1), (False, 0), (False, 1)) + y[1:]
 
 
-@lru_cache(maxsize=None)
 def _pattern(j: int, kind: str) -> _Pattern:
     """The factor list of the recurrence at offset j, for every host order
     at once: lowering every order by one maps the list at offset j-1 onto
     the list at offset j unchanged, so only the offset matters. Each step
     keeps the same kind's list and appends the other kind's list flipped;
-    kind A splices the two halves at even offsets."""
+    kind A splices the two halves at even offsets. Both kinds' lists are
+    built in one loop from offset 1 up, and nothing is kept between calls."""
     if j == 0:
         return ((False, 0),) if kind == "A" else ()
-    if j == 1:
-        return ((False, 0), (True, 0))
-    same = _pattern(j - 1, kind)
-    other = tuple(_FLIP[pair] for pair in _pattern(j - 1, "B" if kind == "A" else "A"))
-    if kind == "A" and j % 2 == 0:
-        return _splice(same, other)
-    return same + other
+    a = b = ((False, 0), (True, 0))
+    for k in range(2, j + 1):
+        flip_a = tuple(_FLIP[pair] for pair in a)
+        flip_b = tuple(_FLIP[pair] for pair in b)
+        a, b = (_splice(a, flip_b) if k % 2 == 0 else a + flip_b), b + flip_a
+    return a if kind == "A" else b
 
 
 def _letterwise_factors(i: int, target: str) -> tuple[FactorRef, ...]:

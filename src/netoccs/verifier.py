@@ -27,8 +27,8 @@ from .fibonacci import (
     check_fib_lemmas,
     predicted_fib_net_occurrences,
     theta_count,
-    theta_set,
     theta_step_ok,
+    theta_steps,
 )
 from .netfreq import net_occurrences_bruteforce, net_occurrences_indexed
 from .occurrences import Occurrence, find_occurrences
@@ -37,8 +37,8 @@ from .reports import ClaimResult
 from .thue_morse import (
     OccurrenceSets,
     ab_counts,
-    ab_sets,
     ab_step_ok,
+    ab_steps,
     check_tm_identities,
     factorization_basis_ok,
     factorization_boundary_ok,
@@ -136,9 +136,10 @@ def _net_occurrence_claims(
 def _fib_order_claims(i: int) -> dict[str, ClaimResult]:
     word = fib_word(i)
     scans = [find_occurrences(fib_word(i - j), word) for j in range(i)]
+    steps = list(theta_steps(i))
     return {
-        "theta_sets_match_oracle": _offset_table(range(i - 3), lambda j: theta_set(i, j) == scans[j]),
-        "theta_step_clauses": _offset_table(range(i - 3), lambda j: theta_step_ok(i, j, scans[j])),
+        "theta_sets_match_oracle": _offset_table(range(i - 3), lambda j: steps[j].union() == scans[j]),
+        "theta_step_clauses": _offset_table(range(i - 3), lambda j: theta_step_ok(i, j, steps[j], scans[j])),
         "theta_counts_match_oracle": _offset_table(
             range(i), lambda j: theta_count(i, j) == len(scans[j])
         ),
@@ -158,24 +159,31 @@ def _factorization_ok(i: int, j: int, kind: str) -> bool:
 
 
 def _tm_set_claims(i: int, word: str) -> dict[str, ClaimResult]:
-    """The claims that check the recurrence sets against one direct scan of
-    tm_word(i-j) and its flip per offset. The scans are dropped on return,
-    before the order's heavier claims run."""
+    """The claims that check the recurrence steps, read in one pass, against
+    one direct scan of tm_word(i-j) and its flip per offset, and their
+    sizes against the count recurrences. The scans and steps are dropped
+    on return, before the order's heavier claims run."""
     scans = [
         OccurrenceSets(
             find_occurrences(tm_word(i - j), word), find_occurrences(tm_flip_word(i - j), word)
         )
         for j in range(i - 1)
     ]
+    steps = list(ab_steps(i))
+    sets = [OccurrenceSets(a_step.union(), b_step.union()) for a_step, b_step in steps]
+    a_seq, b_seq = ab_counts(i - 2)
     return {
-        "occurrence_sets_match_oracle": _offset_table(range(i - 1), lambda j: ab_sets(i, j) == scans[j]),
-        "recurrence_intersections": _offset_table(range(2, i - 1), lambda j: ab_step_ok(i, j, scans[j])),
+        "occurrence_sets_match_oracle": _offset_table(range(i - 1), lambda j: sets[j] == scans[j]),
+        "recurrence_intersections": _offset_table(range(2, i - 1), lambda j: ab_step_ok(steps[j], scans[j])),
+        "occurrence_counts_match": _offset_table(
+            range(i - 1),
+            lambda j: (len(sets[j].a_set), len(sets[j].b_set)) == (a_seq[j], b_seq[j]),
+        ),
     }
 
 
 def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
     word = tm_word(i)
-    a_seq, b_seq = ab_counts(i - 2)
     # One offset past the recurrence domain the count recurrence and the word
     # disagree; this is a feature of the recurrence, so the sweep asserts the
     # disagreement rather than papering over it.
@@ -185,10 +193,6 @@ def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
     factorizations = [[j, kind] for j in range(i - 1) for kind in ("A", "B") if j or kind == "A"]
     return {
         **_tm_set_claims(i, word),
-        "occurrence_counts_match": _offset_table(
-            range(i - 1),
-            lambda j: (len(ab_sets(i, j).a_set), len(ab_sets(i, j).b_set)) == (a_seq[j], b_seq[j]),
-        ),
         "top_offset_documented_deviation": ClaimResult(
             oracle_top != recurrence_top,
             witness={"oracle": oracle_top, "recurrence": recurrence_top},

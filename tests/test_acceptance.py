@@ -18,6 +18,7 @@ from netoccs.fibonacci import (
     theta_max_position,
     theta_set,
     theta_step_ok,
+    theta_steps,
 )
 from netoccs.netfreq import net_occurrences_bruteforce, net_occurrences_indexed
 from netoccs.occurrences import find_occurrences
@@ -26,6 +27,7 @@ from netoccs.thue_morse import (
     ab_counts,
     ab_sets,
     ab_step_ok,
+    ab_steps,
     factorization_basis_ok,
     factorization_boundary_ok,
     is_cube_free,
@@ -80,13 +82,13 @@ def test_criterion_03_fibonacci_position_set_recurrence_is_exact():
     holds."""
     for i in range(6, 21):
         word = fib_word(i)
-        for j in range(0, i - 3):
+        for j, step in zip(range(0, i - 3), theta_steps(i), strict=True):
             positions = theta_set(i, j)
             scanned = find_occurrences(fib_word(i - j), word)
             assert positions == scanned, (i, j)
             assert theta_max_position(i, j) == positions[-1], (i, j)
             if j >= 2:
-                assert theta_step_ok(i, j, scanned), (i, j)
+                assert theta_step_ok(i, j, step, scanned), (i, j)
 
 
 def test_criterion_04_fibonacci_occurrence_counts_match_all_branches():
@@ -106,14 +108,14 @@ def test_criterion_05_thue_morse_position_set_recurrences_are_exact():
     that divergence is asserted too (4 vs 5 at order 4)."""
     for i in range(2, 15):
         word = tm_word(i)
-        for j in range(0, i - 1):
+        for j, steps in zip(range(0, i - 1), ab_steps(i), strict=True):
             sets = ab_sets(i, j)
             target = tm_word(i - j)
             scanned = OccurrenceSets(find_occurrences(target, word), find_occurrences(flip_word(target), word))
             assert sets.a_set == scanned.a_set, (i, j)
             assert sets.b_set == scanned.b_set, (i, j)
             if j >= 2:
-                assert ab_step_ok(i, j, scanned), (i, j)
+                assert ab_step_ok(steps, scanned), (i, j)
     for i in range(3, 15):
         scanned = len(find_occurrences("a", tm_word(i)))
         recurrence = ab_counts(i - 1)[0][i - 1]

@@ -3,18 +3,20 @@ structural facts behind the three-net-occurrence prediction."""
 
 import pytest
 
+from netoccs import fibonacci
 from netoccs.fibonacci import (
     check_fib_identities,
     check_fib_lemmas,
     predicted_fib_net_occurrences,
     theta_count,
     theta_max_position,
-    theta_parts,
     theta_set,
     theta_step_ok,
+    theta_steps,
 )
 from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence, find_occurrences
+from netoccs.reports import ClaimResult
 from netoccs.words import FIB_MAX_ORDER, fib_length, fib_word
 
 from reference import occurrences as ref_occurrences
@@ -44,7 +46,7 @@ def test_theta_set_refuses_orders_above_the_generator_cap():
     with pytest.raises(ValueError, match=f"{FIB_MAX_ORDER}"):
         theta_set(FIB_MAX_ORDER + 1, 2)
     with pytest.raises(ValueError):
-        theta_parts(10**9, 2)
+        theta_steps(10**9)
 
 
 @pytest.mark.parametrize("i", range(6, 13))
@@ -55,10 +57,12 @@ def test_theta_set_matches_direct_scan(i):
 
 @pytest.mark.parametrize("i", range(6, 13))
 def test_theta_step_structure(i):
+    steps = list(theta_steps(i))
+    assert len(steps) == i - 3
     for j in range(2, i - 3):
-        assert theta_step_ok(i, j, oracle_theta(i, j))
-        assert not theta_step_ok(i, j, oracle_theta(i, j)[1:])  # a scan that misses one
-        prev, shifted, rightmost = theta_parts(i, j).pieces
+        assert theta_step_ok(i, j, steps[j], oracle_theta(i, j))
+        assert not theta_step_ok(i, j, steps[j], oracle_theta(i, j)[1:])  # a scan that misses one
+        prev, shifted, rightmost = steps[j].pieces
         if j % 2 == 0:
             assert rightmost == (theta_max_position(i, j),)
         else:
@@ -134,6 +138,28 @@ def test_fib_identities_keys():
     }
     with pytest.raises(ValueError):
         check_fib_identities(5)
+
+
+def test_failing_identities_carry_their_witnesses(monkeypatch):
+    true_q = fibonacci.q_word
+
+    def planted(order):  # one letter too many at order 9
+        return true_q(order) + "a" if order == 9 else true_q(order)
+
+    monkeypatch.setattr(fibonacci, "q_word", planted)
+    claims = check_fib_identities(9)
+    # q_word(9) has 6 letters; delta(0) = "ba" and delta(1) = "ab" follow it
+    assert {k: c.witness for k, c in claims.items() if not c.passed} == {
+        "tail_pair_forward": 7,
+        "tail_pair_reversed": 8,
+        "q_length": [7, 6],
+    }
+
+
+def test_extended_block_unique_names_the_repeated_string(monkeypatch):
+    monkeypatch.setattr(fibonacci, "_unique_in", lambda text, sub: len(sub) != fib_length(7) - 1)
+    claim = check_fib_lemmas(9)["extended_block_unique"]
+    assert claim == ClaimResult(False, witness=["extended_block_prefix"])
 
 
 LEMMA_KEYS = {

@@ -3,10 +3,12 @@ identities, and the smallest-factorization constructions."""
 
 import hashlib
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
 
+from netoccs.fibonacci import theta_set, theta_steps
 from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence, find_occurrences
 from netoccs.thue_morse import (
@@ -15,7 +17,7 @@ from netoccs.thue_morse import (
     ab_counts,
     ab_sets,
     ab_step_ok,
-    ab_step_parts,
+    ab_steps,
     check_tm_identities,
     factorization_basis_ok,
     factorization_boundary_ok,
@@ -26,7 +28,18 @@ from netoccs.thue_morse import (
     smallest_factorization,
     validate_smallest_factorization,
 )
-from netoccs.words import TM_MAX_ORDER, fib_word, flip_word, lit_ref, tm_flip_ref, tm_ref, tm_word
+from netoccs.words import (
+    FIB_MAX_ORDER,
+    TM_MAX_ORDER,
+    fib_length,
+    fib_word,
+    flip_word,
+    lit_ref,
+    tm_flip_ref,
+    tm_flip_word,
+    tm_ref,
+    tm_word,
+)
 
 
 def oracle_sets(i, j):
@@ -57,7 +70,7 @@ def test_ab_sets_domain_errors():
         with pytest.raises(ValueError):
             ab_sets(i, j)
     with pytest.raises(ValueError):
-        ab_step_parts(5, 1)
+        ab_steps(1)
 
 
 def test_recurrences_refuse_orders_above_the_generator_cap():
@@ -80,21 +93,47 @@ def test_ab_sets_match_direct_scan(i):
 
 @pytest.mark.parametrize("i", range(4, 11))
 def test_ab_step_structure(i):
+    steps = list(ab_steps(i))
+    assert len(steps) == i - 1
     for j in range(2, i - 1):
         a, b = oracle_sets(i, j)
-        assert ab_step_ok(i, j, OccurrenceSets(a, b))
+        assert ab_step_ok(steps[j], OccurrenceSets(a, b))
         # a scan that misses one position
-        assert not ab_step_ok(i, j, OccurrenceSets(a[1:], b))
-        assert not ab_step_ok(i, j, OccurrenceSets(a, b[1:]))
+        assert not ab_step_ok(steps[j], OccurrenceSets(a[1:], b))
+        assert not ab_step_ok(steps[j], OccurrenceSets(a, b[1:]))
 
 
 def test_ab_step_overlaps_frozen():
-    a_step, b_step = ab_step_parts(5, 3)
+    steps = list(ab_steps(5))
+    a_step, b_step = steps[3]
     assert a_step.overlap == (7,)
     assert b_step.overlap == (9,)
-    a_step, b_step = ab_step_parts(5, 2)
+    a_step, b_step = steps[2]
     assert a_step.overlap == ()
     assert b_step.overlap == ()
+
+
+def test_recurrences_hold_nothing_after_a_call():
+    for order in range(1, 19):
+        tm_word(order)
+        tm_flip_word(order)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for kind in ("A", "B"):
+            fac = smallest_factorization(18, 16, kind)
+            assert validate_smallest_factorization(18, 16, kind, fac)
+            del fac
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5 * 2**20
+    # theta_set reads the steps only up to its offset: the order-36 sets
+    # further on run to millions of positions.
+    i = FIB_MAX_ORDER
+    assert theta_set(i, 2) == (1, fib_length(i - 2) + 1, fib_length(i - 1) + 1)
+    with pytest.raises(ValueError, match=f"{FIB_MAX_ORDER}"):
+        theta_steps(FIB_MAX_ORDER + 1)
 
 
 def test_ab_counts_frozen():

@@ -8,8 +8,8 @@ import pytest
 
 from netoccs import fibonacci, onoc, thue_morse, verifier
 from netoccs.netfreq import net_occurrences_bruteforce
-from netoccs.occurrences import Occurrence, Step
-from netoccs.reports import ClaimResult
+from netoccs.occurrences import Occurrence, Step, find_occurrences
+from netoccs.reports import ClaimResult, same_word
 from netoccs.verifier import (
     check_onoc_containment,
     verify_fibonacci,
@@ -17,7 +17,8 @@ from netoccs.verifier import (
     verify_thue_morse,
 )
 from netoccs.onoc import greedy_onoc
-from netoccs.words import fib_word, tm_word
+from netoccs.thue_morse import OccurrenceSets
+from netoccs.words import fib_word, flip_word, tm_flip_word, tm_word
 
 FIB_CLAIMS = {
     "theta_sets_match_oracle",
@@ -118,78 +119,67 @@ def test_sweeps_run_the_oracle_once_per_order(monkeypatch):
     assert calls == [tm_word(i) for i in range(5, 8)]
 
 
-@pytest.fixture
-def cold_position_sets():
-    """Empty the recurrence caches before and after a test that plants a
-    fault in them, so no faulty set outlives the test."""
-    fibonacci.theta_set.cache_clear()
-    thue_morse.ab_sets.cache_clear()
-    yield
-    fibonacci.theta_set.cache_clear()
-    thue_morse.ab_sets.cache_clear()
-
-
 def _plant_step_fault(monkeypatch, module, name, at, fault):
-    """Make ``module.name`` return ``fault(parts)`` at ``at``, an (order,
-    offset) pair, and the true parts elsewhere; drop the cached sets."""
-    true_parts = getattr(module, name)
+    """Make the step generator ``name``, in ``module`` and in the verifier,
+    yield ``fault(step)`` at ``at``, an (order, offset) pair, and the true
+    steps elsewhere."""
+    true_steps = getattr(module, name)
 
-    def faulty(order, offset):
-        parts = true_parts(order, offset)
-        return fault(parts) if (order, offset) == at else parts
+    def faulty(order):
+        steps = enumerate(true_steps(order))  # raises here, on the call, as the true generator does
+        return (fault(step) if (order, offset) == at else step for offset, step in steps)
 
     monkeypatch.setattr(module, name, faulty)
-    fibonacci.theta_set.cache_clear()
-    thue_morse.ab_sets.cache_clear()
+    monkeypatch.setattr(verifier, name, faulty)
 
 
 def _failing(claims):
     return {name: claim.witness for name, claim in claims.items() if not claim.passed}
 
 
-def test_theta_step_clauses_catch_a_dropped_position(monkeypatch, cold_position_sets):
+def _drop_shifted(step):  # lose the smallest shifted position
+    prev, shifted, rightmost = step.pieces
+    return Step((prev, shifted[1:], rightmost))
+
+
+def _drop_twice_shifted(steps):  # lose the smallest twice-shifted a position
+    a_step, b_step = steps
+    prev, shifted, twice = a_step.pieces
+    return a_step._replace(pieces=(prev, shifted, twice[1:])), b_step
+
+
+def test_theta_step_clauses_catch_a_dropped_position(monkeypatch):
     i, j = 10, 4
     assert verifier._fib_order_claims(i)["theta_step_clauses"].passed
-
-    def drop(step):  # lose the smallest shifted position
-        prev, shifted, rightmost = step.pieces
-        return Step((prev, shifted[1:], rightmost))
-
-    _plant_step_fault(monkeypatch, fibonacci, "theta_parts", (i, j), drop)
+    _plant_step_fault(monkeypatch, fibonacci, "theta_steps", (i, j), _drop_shifted)
     claim = verifier._fib_order_claims(i)["theta_step_clauses"]
     assert not claim.passed
     assert claim.witness[0] == j
 
 
-def test_theta_step_clauses_catch_pieces_that_meet(monkeypatch, cold_position_sets):
+def test_theta_step_clauses_catch_pieces_that_meet(monkeypatch):
     i, j = 10, 4
 
     def repeat(step):  # the third piece repeats prev[0]; the union is unchanged
         prev, shifted, rightmost = step.pieces
         return Step((prev, shifted, (prev[0], *rightmost)))
 
-    _plant_step_fault(monkeypatch, fibonacci, "theta_parts", (i, j), repeat)
+    _plant_step_fault(monkeypatch, fibonacci, "theta_steps", (i, j), repeat)
     claims = verifier._fib_order_claims(i)
     assert claims["theta_sets_match_oracle"].passed
     assert _failing(claims) == {"theta_step_clauses": [j]}
 
 
-def test_recurrence_intersections_catch_a_dropped_position(monkeypatch, cold_position_sets):
+def test_recurrence_intersections_catch_a_dropped_position(monkeypatch):
     i, j = 8, 4
     assert verifier._tm_order_claims(i)["recurrence_intersections"].passed
-
-    def drop(steps):  # lose the smallest twice-shifted a position
-        a_step, b_step = steps
-        prev, shifted, twice = a_step.pieces
-        return a_step._replace(pieces=(prev, shifted, twice[1:])), b_step
-
-    _plant_step_fault(monkeypatch, thue_morse, "ab_step_parts", (i, j), drop)
+    _plant_step_fault(monkeypatch, thue_morse, "ab_steps", (i, j), _drop_twice_shifted)
     claim = verifier._tm_order_claims(i)["recurrence_intersections"]
     assert not claim.passed
     assert claim.witness[0] == j
 
 
-def test_recurrence_intersections_catch_an_emptied_overlap(monkeypatch, cold_position_sets):
+def test_recurrence_intersections_catch_an_emptied_overlap(monkeypatch):
     i, j = 8, 4
 
     def empty(steps):  # the sets are unchanged
@@ -197,8 +187,20 @@ def test_recurrence_intersections_catch_an_emptied_overlap(monkeypatch, cold_pos
         assert a_step.overlap
         return a_step._replace(overlap=()), b_step
 
-    _plant_step_fault(monkeypatch, thue_morse, "ab_step_parts", (i, j), empty)
+    _plant_step_fault(monkeypatch, thue_morse, "ab_steps", (i, j), empty)
     assert _failing(verifier._tm_order_claims(i)) == {"recurrence_intersections": [j]}
+
+
+def test_no_recurrence_state_outlives_a_call(monkeypatch):
+    fib_scan = find_occurrences(fib_word(6), fib_word(10))
+    tm_scan = OccurrenceSets(*(find_occurrences(w, tm_word(8)) for w in (tm_word(4), tm_flip_word(4))))
+    with monkeypatch.context() as planted:
+        _plant_step_fault(planted, fibonacci, "theta_steps", (10, 4), _drop_shifted)
+        _plant_step_fault(planted, thue_morse, "ab_steps", (8, 4), _drop_twice_shifted)
+        assert fibonacci.theta_set(10, 4) != fib_scan
+        assert thue_morse.ab_sets(8, 4) != tm_scan
+    assert fibonacci.theta_set(10, 4) == fib_scan
+    assert thue_morse.ab_sets(8, 4) == tm_scan
 
 
 def test_folded_claims_keep_each_failing_witness(monkeypatch):
@@ -218,6 +220,23 @@ def test_folded_claims_keep_each_failing_witness(monkeypatch):
         "pass": False,
         "witness": {"previous_only_at_1": [1, 35]},
     }
+
+
+def test_failing_identities_name_the_first_differing_position(monkeypatch):
+    true_flip = thue_morse.tm_flip_word
+
+    def planted(order):  # flip the first letter of the order-4 word
+        word = true_flip(order)
+        return flip_word(word[0]) + word[1:] if order == 4 else word
+
+    monkeypatch.setattr(thue_morse, "tm_flip_word", planted)
+    assert verifier._tm_order_claims(6)["identities"].witness == {"quarter_split": 9}
+
+
+def test_same_word_witness_is_the_first_differing_position():
+    assert same_word("abba", "abba") == ClaimResult(True)
+    assert same_word("abba", "abab") == ClaimResult(False, witness=3)
+    assert same_word("ab", "abb") == ClaimResult(False, witness=3)
 
 
 def test_check_onoc_containment():
