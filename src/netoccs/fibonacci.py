@@ -192,12 +192,7 @@ def check_fib_lemmas(i: int) -> dict[str, ClaimResult]:
     # Any proper superstring of the core block contains it extended by one
     # letter on at least one side, so uniqueness of every one-letter
     # extension that actually appears forces uniqueness of all of them.
-    ext_ok = True
-    bad_ext = None
-    for probe in ("a" + core, "b" + core, core + "a", core + "b"):
-        if probe in word and not _unique_in(word, probe):
-            ext_ok = False
-            bad_ext = probe[:8] + "..."
-            break
-    claims["core_block_superstrings_unique"] = ClaimResult(ext_ok, witness=bad_ext)
+    probes = ("a" + core, "b" + core, core + "a", core + "b")
+    bad = next((probe for probe in probes if probe in word and not _unique_in(word, probe)), None)
+    claims["core_block_superstrings_unique"] = ClaimResult(bad is None, witness=bad and bad[:8] + "...")
     return claims

@@ -334,14 +334,19 @@ def validate_smallest_factorization(i: int, j: int, kind: str, fac: SmallestFact
 
 
 def factorization_basis_ok(fac: SmallestFactorization) -> bool:
-    """Every factor resolves to the order-(i-j) word, the order-(i-j-1)
-    word, or one of their flips (only defined members count at the last
-    offset, where the lower order would be 0)."""
+    """Every non-empty gap of tm_word(i) around the target's occurrences, by
+    a direct scan, is the order-(i-j) word, the order-(i-j-1) word or a flip
+    (only defined members count at the last offset, where the lower order
+    would be 0). Where ``fac`` validates, the gaps are its other factors."""
     high = fac.i - fac.j
     basis = {tm_word(high), tm_flip_word(high)}
     if high > 1:
         basis |= {tm_word(high - 1), tm_flip_word(high - 1)}
-    return all(t in basis for t in fac.texts)
+    word = tm_word(fac.i)
+    target = tm_word(high) if fac.kind == "A" else tm_flip_word(high)
+    starts = [p - 1 for p in find_occurrences(target, word)]
+    ends = [0] + [p + len(target) for p in starts]
+    return all(word[end:start] in basis for end, start in zip(ends, starts + [len(word)]) if end < start)
 
 
 def factorization_boundary_ok(fac: SmallestFactorization) -> bool:

@@ -4,6 +4,11 @@ Runs every per-order checker across a range of orders for the two word
 families, one order after another in the calling process, and a
 randomized/exhaustive property suite for the ONOC containment lemma.
 
+An order's claims come from one stream per family, ``_fib_claims`` or
+``_tm_claims``, as ``(name, ClaimResult)`` pairs in report order. ``_sweep``
+times each claim from the previous yield, so shared work counts in the first
+claim that needs it: the oracle run in ``net_occurrences_match_prediction``.
+
 The property suite is the third definition-level route, beside the
 brute-force oracle and the suffix-array engine: it encodes each text of
 length n as an n-bit integer and checks a whole block of texts with numpy
@@ -18,7 +23,7 @@ import platform
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .fibonacci import (
     theta_step_ok,
     theta_steps,
 )
-from .netfreq import net_occurrences_bruteforce, net_occurrences_indexed
+from .netfreq import NetOccurrenceRecord, net_occurrences_bruteforce, net_occurrences_indexed
 from .occurrences import Occurrence, find_occurrences
 from .onoc import bnso_set, bridging, greedy_onoc, prove_completeness, widen
 from .reports import ClaimResult
@@ -46,7 +51,7 @@ from .thue_morse import (
     smallest_factorization,
     validate_smallest_factorization,
 )
-from .words import FIB_MAX_ORDER, TM_MAX_ORDER, fib_word, tm_flip_word, tm_word
+from .words import fib_word, tm_flip_word, tm_word
 
 
 def _versions() -> dict[str, str]:
@@ -58,14 +63,16 @@ def _versions() -> dict[str, str]:
 @dataclass(frozen=True)
 class VerificationReport:
     """A sweep's claims by ``order_<i>/<name>``, in order, with the order
-    range it covered, its total wall time and ``order_wall_times``, the
-    seconds each order's claims took."""
+    range it covered, its total wall time, and the seconds each order's
+    claims took (``order_wall_times``) and each claim took
+    (``claim_wall_times``, keyed like ``claims``)."""
 
     family: str
     orders: tuple[int, int]
     claims: dict[str, ClaimResult]
     wall_time: float
     order_wall_times: dict[int, float]
+    claim_wall_times: dict[str, float]
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.claims.values())
@@ -80,6 +87,7 @@ class VerificationReport:
             "versions": _versions(),
             "wall_time": self.wall_time,
             "order_wall_times": {str(i): t for i, t in self.order_wall_times.items()},
+            "claim_wall_times": self.claim_wall_times,
             "claims": {k: v.to_json_dict() for k, v in self.claims.items()},
         }
 
@@ -102,138 +110,129 @@ def _offset_table(offsets: Iterable, ok: Callable[..., bool]) -> ClaimResult:
     return ClaimResult(not bad, witness=bad or None)
 
 
-def _net_occurrence_claims(
-    word: str, predicted: tuple[Occurrence, ...], **before_agree: ClaimResult
-) -> dict[str, ClaimResult]:
-    """The claims on a word's net occurrences, from one oracle run: they
-    match the prediction, the prediction is a complete ONOC, and the
-    indexed engine agrees with the oracle, reported after ``before_agree``."""
+_Claims = Iterator[tuple[str, ClaimResult]]  # one order's claims, in report order
+
+
+def _prediction_claims(
+    word: str, predicted: tuple[Occurrence, ...]
+) -> Generator[tuple[str, ClaimResult], None, list[NetOccurrenceRecord]]:
+    """From one oracle run: the word's net occurrences match the prediction,
+    which is a complete ONOC. Returns the oracle's records."""
     records = net_occurrences_bruteforce(word)
     actual = tuple(r.occurrence for r in records)
     match = actual == predicted
+    yield "net_occurrences_match_prediction", ClaimResult(
+        match, witness=None if match else {"actual": _pairs(actual), "predicted": _pairs(predicted)}
+    )
     completeness = prove_completeness(word, predicted, actual)
+    yield "prediction_is_onoc", ClaimResult(completeness.cover_valid)
+    complete = completeness.complete()
+    yield "cover_complete", ClaimResult(complete, witness=None if complete else completeness.to_json_dict())
+    return records
+
+
+def _engines_agree(word: str, records: list[NetOccurrenceRecord]) -> tuple[str, ClaimResult]:
+    """The indexed engine returns the oracle's ``records``."""
     indexed = net_occurrences_indexed(word)
     agree = indexed == records
-    return {
-        "net_occurrences_match_prediction": ClaimResult(
-            match, witness=None if match else {"actual": _pairs(actual), "predicted": _pairs(predicted)}
-        ),
-        "prediction_is_onoc": ClaimResult(completeness.cover_valid),
-        "cover_complete": ClaimResult(
-            completeness.complete(),
-            witness=None if completeness.complete() else completeness.to_json_dict(),
-        ),
-        **before_agree,
-        "engines_agree": ClaimResult(
-            agree,
-            witness=None
-            if agree
-            else {"indexed": _pairs(r.occurrence for r in indexed), "oracle": _pairs(actual)},
-        ),
-    }
-
-
-def _fib_order_claims(i: int) -> dict[str, ClaimResult]:
-    word = fib_word(i)
-    scans = [find_occurrences(fib_word(i - j), word) for j in range(i)]
-    steps = list(theta_steps(i))
-    return {
-        "theta_sets_match_oracle": _offset_table(range(i - 3), lambda j: steps[j].union() == scans[j]),
-        "theta_step_clauses": _offset_table(range(i - 3), lambda j: theta_step_ok(i, j, steps[j], scans[j])),
-        "theta_counts_match_oracle": _offset_table(
-            range(i), lambda j: theta_count(i, j) == len(scans[j])
-        ),
-        "identities": _all_pass(check_fib_identities(i)),
-        "lemmas": _all_pass(check_fib_lemmas(i)),
-        **_net_occurrence_claims(word, predicted_fib_net_occurrences(i)),
-    }
-
-
-def _factorization_ok(i: int, j: int, kind: str) -> bool:
-    fac = smallest_factorization(i, j, kind)
-    return (
-        validate_smallest_factorization(i, j, kind, fac)
-        and factorization_basis_ok(fac)
-        and factorization_boundary_ok(fac)
+    oracle = _pairs(r.occurrence for r in records)
+    return "engines_agree", ClaimResult(
+        agree, witness=None if agree else {"indexed": _pairs(r.occurrence for r in indexed), "oracle": oracle}
     )
 
 
-def _tm_set_claims(i: int, word: str) -> dict[str, ClaimResult]:
-    """The claims that check the recurrence steps, read in one pass, against
-    one direct scan of tm_word(i-j) and its flip per offset, and their
-    sizes against the count recurrences. The scans and steps are dropped
-    on return, before the order's heavier claims run."""
+def _fib_claims(i: int) -> _Claims:
+    word = fib_word(i)
+    scans = [find_occurrences(fib_word(i - j), word) for j in range(i)]
+    steps = list(theta_steps(i))
+    yield "theta_sets_match_oracle", _offset_table(range(i - 3), lambda j: steps[j].union() == scans[j])
+    yield "theta_step_clauses", _offset_table(range(i - 3), lambda j: theta_step_ok(i, j, steps[j], scans[j]))
+    yield "theta_counts_match_oracle", _offset_table(range(i), lambda j: theta_count(i, j) == len(scans[j]))
+    yield "identities", _all_pass(check_fib_identities(i))
+    yield "lemmas", _all_pass(check_fib_lemmas(i))
+    records = yield from _prediction_claims(word, predicted_fib_net_occurrences(i))
+    yield _engines_agree(word, records)
+
+
+def _factorization_ok(i: int, j: int, kind: str) -> bool:
+    try:
+        fac = smallest_factorization(i, j, kind)
+    except ValueError:  # (i, j, kind) is in the domain: the construction is at fault
+        return False
+    valid = validate_smallest_factorization(i, j, kind, fac)
+    return valid and factorization_basis_ok(fac) and factorization_boundary_ok(fac)
+
+
+def _tm_claims(i: int) -> _Claims:
+    word = tm_word(i)
+    # The recurrence steps, read in one pass, against one direct scan of
+    # tm_word(i-j) and its flip per offset, and their sizes against counts.
     scans = [
-        OccurrenceSets(
-            find_occurrences(tm_word(i - j), word), find_occurrences(tm_flip_word(i - j), word)
-        )
+        OccurrenceSets(find_occurrences(tm_word(i - j), word), find_occurrences(tm_flip_word(i - j), word))
         for j in range(i - 1)
     ]
     steps = list(ab_steps(i))
     sets = [OccurrenceSets(a_step.union(), b_step.union()) for a_step, b_step in steps]
     a_seq, b_seq = ab_counts(i - 2)
-    return {
-        "occurrence_sets_match_oracle": _offset_table(range(i - 1), lambda j: sets[j] == scans[j]),
-        "recurrence_intersections": _offset_table(range(2, i - 1), lambda j: ab_step_ok(steps[j], scans[j])),
-        "occurrence_counts_match": _offset_table(
-            range(i - 1),
-            lambda j: (len(sets[j].a_set), len(sets[j].b_set)) == (a_seq[j], b_seq[j]),
-        ),
-    }
-
-
-def _tm_order_claims(i: int) -> dict[str, ClaimResult]:
-    word = tm_word(i)
-    # One offset past the recurrence domain the count recurrence and the word
-    # disagree; this is a feature of the recurrence, so the sweep asserts the
-    # disagreement rather than papering over it.
+    yield "occurrence_sets_match_oracle", _offset_table(range(i - 1), lambda j: sets[j] == scans[j])
+    yield "recurrence_intersections", _offset_table(range(2, i - 1), lambda j: ab_step_ok(steps[j], scans[j]))
+    yield "occurrence_counts_match", _offset_table(
+        range(i - 1), lambda j: (len(sets[j].a_set), len(sets[j].b_set)) == (a_seq[j], b_seq[j])
+    )
+    del scans, steps, sets  # before the order's heavier claims run
+    # One offset past its domain the count recurrence disagrees with the word,
+    # by design: the sweep asserts the disagreement rather than hiding it.
     oracle_top = len(find_occurrences("a", word))
     recurrence_top = ab_counts(i - 1)[0][i - 1]
+    yield "top_offset_documented_deviation", ClaimResult(
+        oracle_top != recurrence_top, witness={"oracle": oracle_top, "recurrence": recurrence_top}
+    )
+    yield "identities", _all_pass(check_tm_identities(i))
+    records = yield from _prediction_claims(word, predicted_tm_net_occurrences(i))
     # Kind B at offset 0 is the degenerate empty factorization.
     factorizations = [[j, kind] for j in range(i - 1) for kind in ("A", "B") if j or kind == "A"]
-    return {
-        **_tm_set_claims(i, word),
-        "top_offset_documented_deviation": ClaimResult(
-            oracle_top != recurrence_top,
-            witness={"oracle": oracle_top, "recurrence": recurrence_top},
-        ),
-        "identities": _all_pass(check_tm_identities(i)),
-        **_net_occurrence_claims(
-            word,
-            predicted_tm_net_occurrences(i),
-            smallest_factorizations_valid=_offset_table(
-                factorizations, lambda jk: _factorization_ok(i, *jk)
-            ),
-        ),
-    }
+    yield "smallest_factorizations_valid", _offset_table(factorizations, lambda jk: _factorization_ok(i, *jk))
+    yield _engines_agree(word, records)
 
 
-def _sweep(
-    family: str, fn: Callable[[int], dict[str, ClaimResult]], first: int, last: int
-) -> VerificationReport:
-    """Run ``fn`` on the orders first..last in turn, timing each order."""
+def _sweep(family: str, claims: Callable[[int], _Claims], first: int, last: int) -> VerificationReport:
+    """Run ``claims(i)`` for the orders first..last in turn, timing each claim
+    from the previous yield of its order; an order's time is their sum."""
     start = time.perf_counter()
     merged: dict[str, ClaimResult] = {}
+    claim_wall_times: dict[str, float] = {}
     order_wall_times: dict[int, float] = {}
     for i in range(first, last + 1):
-        began = time.perf_counter()
-        claims = fn(i)
-        order_wall_times[i] = time.perf_counter() - began
-        for name, result in claims.items():
-            merged[f"order_{i}/{name}"] = result
-    return VerificationReport(family, (first, last), merged, time.perf_counter() - start, order_wall_times)
+        order_wall_times[i] = 0.0
+        mark = time.perf_counter()
+        for name, result in claims(i):
+            key, now = f"order_{i}/{name}", time.perf_counter()
+            merged[key], claim_wall_times[key] = result, now - mark
+            order_wall_times[i] += now - mark
+            mark = now
+    return VerificationReport(
+        family, (first, last), merged, time.perf_counter() - start, order_wall_times, claim_wall_times
+    )
+
+
+# The largest orders a sweep accepts. The oracle is quadratic: each order costs
+# about 2.6x (Fibonacci) or 3.4x (Thue-Morse) the one before. One run each,
+# in-process on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4): verify_fibonacci(24)
+# 17.1 s and verify_thue_morse(17) 21.8 s, peak RSS 40.0 and 41.6 MB.
+VERIFY_FIB_MAX_ORDER = 24
+VERIFY_TM_MAX_ORDER = 17
 
 
 def verify_fibonacci(max_order: int) -> VerificationReport:
-    if not 7 <= max_order <= FIB_MAX_ORDER:
-        raise ValueError(f"verify_fibonacci: max_order {max_order} not in 7..{FIB_MAX_ORDER}")
-    return _sweep("Fibonacci", _fib_order_claims, 7, max_order)
+    if not 7 <= max_order <= VERIFY_FIB_MAX_ORDER:
+        raise ValueError(f"verify_fibonacci: max_order {max_order} not in 7..{VERIFY_FIB_MAX_ORDER}")
+    return _sweep("Fibonacci", _fib_claims, 7, max_order)
 
 
 def verify_thue_morse(max_order: int) -> VerificationReport:
-    if not 5 <= max_order <= TM_MAX_ORDER:
-        raise ValueError(f"verify_thue_morse: max_order {max_order} not in 5..{TM_MAX_ORDER}")
-    return _sweep("ThueMorse", _tm_order_claims, 5, max_order)
+    if not 5 <= max_order <= VERIFY_TM_MAX_ORDER:
+        raise ValueError(f"verify_thue_morse: max_order {max_order} not in 5..{VERIFY_TM_MAX_ORDER}")
+    return _sweep("ThueMorse", _tm_claims, 5, max_order)
 
 
 @dataclass(frozen=True)

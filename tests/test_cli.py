@@ -357,6 +357,11 @@ def test_verify_json_records_versions_and_order_times(capsys):
         assert data["versions"] == VERSIONS
         assert "workers" not in data
         assert list(data["order_wall_times"]) == [str(i) for i in range(data["orders"][0], last + 1)]
+        claim_times = data["claim_wall_times"]
+        assert list(claim_times) == list(data["claims"])
+        assert all(t >= 0 for t in claim_times.values())
+        for i, t in data["order_wall_times"].items():
+            assert sum(v for k, v in claim_times.items() if k.startswith(f"order_{i}/")) == pytest.approx(t)
         assert run(argv) == 0
         *claims, summary = out_of(capsys)[0].splitlines()
         # the text report carries neither
@@ -467,13 +472,16 @@ def test_verify_refuses_orders_above_the_generator_caps(family, monkeypatch, cap
     def never(i):
         raise AssertionError(f"ran order {i} despite the cap")
 
-    monkeypatch.setattr(verifier, "_fib_order_claims", never)
-    monkeypatch.setattr(verifier, "_tm_order_claims", never)
-    order = _FIRST_REFUSED[family]
-    assert run(["verify", family, "--max-order", str(order), "--json"]) == 2
-    out, err = out_of(capsys)
-    assert out == ""
-    assert err.startswith("error:") and f"max_order {order} not in" in err
+    monkeypatch.setattr(verifier, "_fib_claims", never)
+    monkeypatch.setattr(verifier, "_tm_claims", never)
+    verify_cap = verifier.VERIFY_FIB_MAX_ORDER if family == "fib" else verifier.VERIFY_TM_MAX_ORDER
+    assert verify_cap < _FIRST_REFUSED[family]
+    for order in (verify_cap + 1, _FIRST_REFUSED[family]):
+        assert run(["verify", family, "--max-order", str(order), "--json"]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error:") and f"max_order {order} not in" in err
+
 
 
 def _assert_clean_exit(argv, code, out, err, as_json):

@@ -36,5 +36,9 @@ def test_span_name_resolves_in_package(name):
 
 def test_sweep_claim_names_match_the_benchmark():
     rep = _load("rep")
-    assert set(verify_fibonacci(8).claims) == rep.expected_claims(7, 8, rep.FIB_CLAIMS)
-    assert set(verify_thue_morse(6).claims) == rep.expected_claims(5, 6, rep.TM_CLAIMS)
+    sweeps = ((verify_fibonacci, 7, 8, rep.FIB_CLAIMS), (verify_thue_morse, 5, 6, rep.TM_CLAIMS))
+    for sweep, first, last, names in sweeps:
+        claims = sweep(last).claims
+        assert set(claims) == rep.expected_claims(first, last, names)
+        for i in range(first, last + 1):  # each order's claims, in report order
+            assert [key.split("/")[1] for key in claims if key.startswith(f"order_{i}/")] == list(names)

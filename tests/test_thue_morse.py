@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from netoccs import thue_morse
 from netoccs.fibonacci import theta_set, theta_steps
 from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence, find_occurrences
@@ -406,6 +407,17 @@ def test_basis_failures_are_exactly_the_double_letter_gap_cases():
         if not factorization_basis_ok(fac):
             failures.add((i, j, kind))
     assert failures == EXPECTED_BASIS_FAILURES
+
+
+def test_factorization_basis_reads_the_gaps_from_a_direct_scan(monkeypatch):
+    """Below the top offset every factor is built from a basis word, so the
+    check must read the gaps from the word itself: with one occurrence of
+    the target lost from the scan, the gap around it is no basis word."""
+    fac = smallest_factorization(8, 4, "A")
+    assert factorization_basis_ok(fac)
+    true_scan = thue_morse.find_occurrences
+    monkeypatch.setattr(thue_morse, "find_occurrences", lambda pattern, text: true_scan(pattern, text)[:-1])
+    assert not factorization_basis_ok(fac)
 
 
 def test_factorization_json_shape():

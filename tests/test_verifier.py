@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from netoccs import fibonacci, onoc, thue_morse, verifier
+from netoccs import cli, fibonacci, onoc, thue_morse, verifier
 from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence, Step, find_occurrences
 from netoccs.reports import ClaimResult, same_word
@@ -92,6 +93,12 @@ def test_sweeps_time_every_order(sweep, first, last):
     assert all(t >= 0 for t in times.values())
     assert sum(times.values()) <= report.wall_time
     assert report.to_json_dict()["order_wall_times"] == {str(i): t for i, t in times.items()}
+    claim_times = report.claim_wall_times
+    assert list(claim_times) == list(report.claims)
+    assert all(t >= 0 for t in claim_times.values())
+    for i, t in times.items():
+        assert sum(v for k, v in claim_times.items() if k.startswith(f"order_{i}/")) == pytest.approx(t)
+    assert report.to_json_dict()["claim_wall_times"] == claim_times
 
 
 def test_importing_the_package_starts_no_process_machinery():
@@ -150,9 +157,9 @@ def _drop_twice_shifted(steps):  # lose the smallest twice-shifted a position
 
 def test_theta_step_clauses_catch_a_dropped_position(monkeypatch):
     i, j = 10, 4
-    assert verifier._fib_order_claims(i)["theta_step_clauses"].passed
+    assert dict(verifier._fib_claims(i))["theta_step_clauses"].passed
     _plant_step_fault(monkeypatch, fibonacci, "theta_steps", (i, j), _drop_shifted)
-    claim = verifier._fib_order_claims(i)["theta_step_clauses"]
+    claim = dict(verifier._fib_claims(i))["theta_step_clauses"]
     assert not claim.passed
     assert claim.witness[0] == j
 
@@ -165,16 +172,16 @@ def test_theta_step_clauses_catch_pieces_that_meet(monkeypatch):
         return Step((prev, shifted, (prev[0], *rightmost)))
 
     _plant_step_fault(monkeypatch, fibonacci, "theta_steps", (i, j), repeat)
-    claims = verifier._fib_order_claims(i)
+    claims = dict(verifier._fib_claims(i))
     assert claims["theta_sets_match_oracle"].passed
     assert _failing(claims) == {"theta_step_clauses": [j]}
 
 
 def test_recurrence_intersections_catch_a_dropped_position(monkeypatch):
     i, j = 8, 4
-    assert verifier._tm_order_claims(i)["recurrence_intersections"].passed
+    assert dict(verifier._tm_claims(i))["recurrence_intersections"].passed
     _plant_step_fault(monkeypatch, thue_morse, "ab_steps", (i, j), _drop_twice_shifted)
-    claim = verifier._tm_order_claims(i)["recurrence_intersections"]
+    claim = dict(verifier._tm_claims(i))["recurrence_intersections"]
     assert not claim.passed
     assert claim.witness[0] == j
 
@@ -188,7 +195,85 @@ def test_recurrence_intersections_catch_an_emptied_overlap(monkeypatch):
         return a_step._replace(overlap=()), b_step
 
     _plant_step_fault(monkeypatch, thue_morse, "ab_steps", (i, j), empty)
-    assert _failing(verifier._tm_order_claims(i)) == {"recurrence_intersections": [j]}
+    assert _failing(dict(verifier._tm_claims(i))) == {"recurrence_intersections": [j]}
+
+
+# One order of each family, for the faults planted in the claims they share.
+_BOTH_FAMILIES = pytest.mark.parametrize(
+    "claims, i", [(verifier._fib_claims, 9), (verifier._tm_claims, 7)], ids=["fib", "tm"]
+)
+
+
+@_BOTH_FAMILIES
+def test_engines_agree_catches_a_dropped_indexed_record(claims, i, monkeypatch):
+    true_engine = verifier.net_occurrences_indexed
+    monkeypatch.setattr(verifier, "net_occurrences_indexed", lambda text: true_engine(text)[:-1])
+    failing = _failing(dict(claims(i)))
+    assert list(failing) == ["engines_agree"]
+    assert failing["engines_agree"]["indexed"] == failing["engines_agree"]["oracle"][:-1]
+
+
+@_BOTH_FAMILIES
+def test_prediction_claims_catch_a_dropped_member(claims, i, monkeypatch):
+    for name in ("predicted_fib_net_occurrences", "predicted_tm_net_occurrences"):
+        true_prediction = getattr(verifier, name)
+        monkeypatch.setattr(verifier, name, lambda order, true=true_prediction: true(order)[1:])
+    failing = _failing(dict(claims(i)))
+    assert list(failing) == ["net_occurrences_match_prediction", "prediction_is_onoc", "cover_complete"]
+    match = failing["net_occurrences_match_prediction"]
+    assert match["predicted"] == match["actual"][1:]
+    assert failing["cover_complete"]["cover_valid"] is False
+
+
+@_BOTH_FAMILIES
+def test_cover_complete_catches_an_offending_super(claims, i, monkeypatch):
+    true_proof = verifier.prove_completeness
+    planted_supers = []
+
+    def planted(text, cover, net_occs):  # report the first member as an offending super
+        report = true_proof(text, cover, net_occs)
+        planted_supers.append([cover[0].start, cover[0].end])
+        return dataclasses.replace(report, offending_supers=(*report.offending_supers, cover[0]))
+
+    monkeypatch.setattr(verifier, "prove_completeness", planted)
+    failing = _failing(dict(claims(i)))
+    assert list(failing) == ["cover_complete"]
+    assert failing["cover_complete"]["offending_supers"] == planted_supers
+
+
+def test_theta_counts_catch_an_off_by_one_count(monkeypatch):
+    true_count = verifier.theta_count
+    monkeypatch.setattr(verifier, "theta_count", lambda i, j: true_count(i, j) + (j == 2))
+    assert _failing(dict(verifier._fib_claims(9))) == {"theta_counts_match_oracle": [2]}
+
+
+def test_occurrence_counts_catch_an_off_by_one_count(monkeypatch):
+    true_counts = verifier.ab_counts
+
+    def planted(j_max):
+        a_seq, b_seq = true_counts(j_max)
+        return (*a_seq[:2], a_seq[2] + 1, *a_seq[3:]), b_seq
+
+    monkeypatch.setattr(verifier, "ab_counts", planted)
+    assert _failing(dict(verifier._tm_claims(7))) == {"occurrence_counts_match": [2]}
+
+
+def test_a_faulty_factorization_construction_fails_its_claim(monkeypatch, capsys):
+    true_pattern = thue_morse._pattern
+
+    def planted(j, kind):  # a wrong last factor at offset 3, kind A: the factors spell another word
+        pattern = true_pattern(j, kind)
+        return (*pattern[:-1], thue_morse._FLIP[pattern[-1]]) if (j, kind) == (3, "A") else pattern
+
+    monkeypatch.setattr(thue_morse, "_pattern", planted)
+    with pytest.raises(ValueError, match="do not spell"):
+        thue_morse.smallest_factorization(7, 3, "A")
+    assert _failing(dict(verifier._tm_claims(7))) == {"smallest_factorizations_valid": [[3, "A"]]}
+    assert cli.run(["verify", "tm", "--max-order", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == [f"FAIL order_{i}/smallest_factorizations_valid  witness=[[3, 'A']]" for i in (5, 6, 7)]
 
 
 def test_no_recurrence_state_outlives_a_call(monkeypatch):
@@ -230,7 +315,7 @@ def test_failing_identities_name_the_first_differing_position(monkeypatch):
         return flip_word(word[0]) + word[1:] if order == 4 else word
 
     monkeypatch.setattr(thue_morse, "tm_flip_word", planted)
-    assert verifier._tm_order_claims(6)["identities"].witness == {"quarter_split": 9}
+    assert dict(verifier._tm_claims(6))["identities"].witness == {"quarter_split": 9}
 
 
 def test_same_word_witness_is_the_first_differing_position():
