@@ -42,6 +42,7 @@ from .thue_morse import (
     jacobsthal,
     predicted_tm_net_occurrences,
     smallest_factorization,
+    target_scan,
     validate_smallest_factorization,
 )
 from .verifier import (
@@ -98,6 +99,7 @@ __all__ = [
     "q_word",
     "read_word_file",
     "smallest_factorization",
+    "target_scan",
     "theta_count",
     "theta_set",
     "tm_length",

@@ -18,6 +18,7 @@ from .thue_morse import (
     factorization_basis_ok,
     factorization_boundary_ok,
     smallest_factorization,
+    target_scan,
     validate_smallest_factorization,
 )
 from .fibonacci import theta_set
@@ -184,8 +185,9 @@ def _cmd_factorize(args) -> int:
         text_out = "(empty factorization: the target never occurs)"
     else:
         payload = fac.to_json_dict()
-        payload["valid"] = validate_smallest_factorization(args.order, args.j, args.kind, fac)
-        payload["basis_ok"] = factorization_basis_ok(fac)
+        scan = target_scan(args.order, args.j, args.kind)
+        payload["valid"] = validate_smallest_factorization(args.order, args.j, args.kind, fac, scan)
+        payload["basis_ok"] = factorization_basis_ok(fac, scan)
         payload["boundary_ok"] = factorization_boundary_ok(fac)
         flags = " ".join(
             f"{k}={str(payload[k]).lower()}" for k in ("valid", "basis_ok", "boundary_ok")

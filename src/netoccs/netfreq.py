@@ -7,12 +7,13 @@ Two independent enumerators are provided and must agree everywhere:
   candidate per start suffices: a shorter candidate has a repeated right
   extension, so it cannot be a net occurrence, and a longer one is not
   repeated at all. The lengths come from one forward scan of C-speed repeat
-  probes, at most 2n probes for a text of length n. A start whose length
-  did not grow past the one resumed from the previous start is settled by
-  the scan itself: its left extension is the repeated string just found one
-  position earlier. Every other candidate, and so every reported record, is
-  checked against the definition by ``is_net_occurrence`` (see the
-  function's docstring).
+  probes that gallops, then bisects, from the previous start's length minus
+  one: n probes plus a logarithmic number per start that grows, for a text
+  of length n. A start whose length did not grow past the one resumed from
+  the previous start is settled by the scan itself: its left extension is
+  the repeated string just found one position earlier. Every other
+  candidate, and so every reported record, is checked against the
+  definition by ``is_net_occurrence`` (see the function's docstring).
 * ``net_occurrences_indexed`` — suffix-array route, in two steps. First the
   bounds (``_net_bounds``): it computes, for every suffix, the maximum
   common prefix with any other suffix (adjacent maxima of the LCP array)
@@ -33,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .occurrences import Occurrence, is_net_occurrence
+from .occurrences import Occurrence, is_net_occurrence, occurs_elsewhere
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,19 +77,21 @@ def net_occurrences_bruteforce(text: str) -> list[NetOccurrenceRecord]:
     A net occurrence starting at s must cover exactly the longest repeated
     substring starting there, so each start yields at most one candidate.
 
-    The longest repeated length R[s] is found by probing whether a substring
-    is repeated (its first and last occurrences differ). Dropping the first
-    letter of a repeated substring leaves a repeated substring, so
-    R[s] >= R[s-1] - 1: each start resumes from R[s-1] - 1 and extends one
-    letter at a time. Every probe either extends or ends a start, so the
-    scan makes at most 2n probes in total.
+    The longest repeated length R[s] is found by probing whether the prefix
+    of a given length at s occurs elsewhere (``occurs_elsewhere``). Dropping
+    the first letter of a repeated substring leaves a repeated substring,
+    so R[s] >= R[s-1] - 1; dropping the last letter does too, so the
+    repeated lengths at s are exactly 0..R[s]. Each start thus gallops from
+    R[s-1] - 1 (+1, +2, +4, ..., capped at the end of the text) and bisects
+    below the first failed probe: one probe for a start that does not grow
+    (none at the cap), at most 2 floor(log2 g) + 2 for one that grows by g.
 
     A start s > 1 that does not extend, R[s] = R[s-1] - 1, is rejected
     without further search: the candidate's left extension is the
     length-R[s-1] string at s - 1, which the scan has just proved repeated.
     Every other candidate goes through ``is_net_occurrence``, so each
     reported record is still checked against the definition (three
-    ``find``/``rfind`` probes).
+    ``occurs_elsewhere`` probes).
     """
     if not text:
         raise ValueError("net_occurrences_bruteforce: empty text")
@@ -97,11 +100,14 @@ def net_occurrences_bruteforce(text: str) -> list[NetOccurrenceRecord]:
     length = 0
     for s0 in range(n):
         resumed = length = max(length - 1, 0)
-        while s0 + length < n:
-            sub = text[s0 : s0 + length + 1]
-            if text.find(sub) == text.rfind(sub):
-                break
-            length += 1
+        step, bad = 1, n - s0 + 1  # length is repeated (or 0); bad is not, or runs off the end
+        while bad - length > 1:
+            # Gallop up from the resumed length; after a failure or at the end, bisect.
+            mid = resumed + step if resumed + step < bad else (length + bad) // 2
+            if occurs_elsewhere(text, s0, mid):
+                length, step = mid, step * 2
+            else:
+                bad = mid
         if length == resumed:
             # Settled by the scan: either there is no candidate (length 0,
             # always the case at s0 = 0), or the left extension is the

@@ -1,6 +1,6 @@
 """Occurrences in a text: position sets and the recurrence ``Step`` over
 them, the occurrence interval, a direct scan for all starting positions,
-and the net-occurrence predicate.
+the repeat probe and the net-occurrence predicate.
 
 An occurrence is a 1-based inclusive interval (start, end) of a text. It is a
 net occurrence when the covered substring is repeated in the text while both
@@ -81,26 +81,23 @@ def find_occurrences(pattern: str, text: str) -> PositionSet:
     return tuple(out)
 
 
-def _check_bounds(text: str, occ: Occurrence) -> None:
-    if occ.end > len(text):
-        raise ValueError(f"occurrence {occ} out of bounds for text of length {len(text)}")
-
-
-def _is_unique(text: str, sub: str) -> bool:
-    # sub is known to occur; unique iff first and last occurrences coincide.
-    return text.find(sub) == text.rfind(sub)
+def occurs_elsewhere(text: str, s0: int, m: int) -> bool:
+    """True iff the length-m substring at 0-based start s0 also starts
+    elsewhere. ``rfind`` first: it is the faster scan for long needles."""
+    sub = text[s0 : s0 + m]
+    return text.rfind(sub) != s0 or text.rfind(sub, 0, s0 + m - 1) != -1
 
 
 def is_net_occurrence(text: str, occ: Occurrence) -> bool:
     """Definition-level check: the covered substring is repeated, and each
     one-letter extension is unique or falls off the text."""
-    _check_bounds(text, occ)
-    s, e, n = occ.start, occ.end, len(text)
-    sub = text[s - 1 : e]
-    if _is_unique(text, sub):
+    s0, m, n = occ.start - 1, occ.end - occ.start + 1, len(text)
+    if occ.end > n:
+        raise ValueError(f"occurrence {occ} out of bounds for text of length {n}")
+    if not occurs_elsewhere(text, s0, m):
         return False
-    if s > 1 and not _is_unique(text, text[s - 2 : e]):
+    if s0 > 0 and occurs_elsewhere(text, s0 - 1, m + 1):
         return False
-    if e < n and not _is_unique(text, text[s - 1 : e + 1]):
+    if occ.end < n and occurs_elsewhere(text, s0, m + 1):
         return False
     return True

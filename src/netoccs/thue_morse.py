@@ -318,34 +318,40 @@ def smallest_factorization(i: int, j: int, kind: str) -> SmallestFactorization:
     return SmallestFactorization(factors, kind, i, j)
 
 
-def validate_smallest_factorization(i: int, j: int, kind: str, fac: SmallestFactorization) -> bool:
+def target_scan(i: int, j: int, kind: str) -> PositionSet:
+    """Direct scan: the 1-based starts of the (i, j, kind) target in tm_word(i)."""
+    return find_occurrences((tm_word if kind == "A" else tm_flip_word)(i - j), tm_word(i))
+
+
+def validate_smallest_factorization(
+    i: int, j: int, kind: str, fac: SmallestFactorization, scan: PositionSet
+) -> bool:
     """True iff the factorization places a whole factor at every occurrence
-    of the target word and never has two adjacent non-target factors.
-    Raises ValueError for a factorization of another order or one with no
-    factors."""
+    of the target word, ``scan`` = ``target_scan(i, j, kind)``, and never
+    has two adjacent non-target factors. Raises ValueError for a
+    factorization of another order or one with no factors."""
     if fac.i != i or not fac.factors:
         raise ValueError(f"validate_smallest_factorization: need a non-empty factorization of order {i}")
     target = tm_word(i - j) if kind == "A" else tm_flip_word(i - j)
     texts, starts = fac.texts, fac.starts
     placed = {starts[k] for k, t in enumerate(texts) if t == target}
-    if placed != set(find_occurrences(target, tm_word(i))):
+    if placed != set(scan):
         return False
     return all(t1 == target or t2 == target for t1, t2 in zip(texts, texts[1:]))
 
 
-def factorization_basis_ok(fac: SmallestFactorization) -> bool:
-    """Every non-empty gap of tm_word(i) around the target's occurrences, by
-    a direct scan, is the order-(i-j) word, the order-(i-j-1) word or a flip
-    (only defined members count at the last offset, where the lower order
-    would be 0). Where ``fac`` validates, the gaps are its other factors."""
+def factorization_basis_ok(fac: SmallestFactorization, scan: PositionSet) -> bool:
+    """Every non-empty gap of tm_word(i) around the ``target_scan`` starts
+    ``scan`` is the order-(i-j) word, the order-(i-j-1) word or a flip (only
+    defined members count at the last offset, where the lower order would
+    be 0). Where ``fac`` validates, the gaps are its other factors."""
     high = fac.i - fac.j
     basis = {tm_word(high), tm_flip_word(high)}
     if high > 1:
         basis |= {tm_word(high - 1), tm_flip_word(high - 1)}
     word = tm_word(fac.i)
-    target = tm_word(high) if fac.kind == "A" else tm_flip_word(high)
-    starts = [p - 1 for p in find_occurrences(target, word)]
-    ends = [0] + [p + len(target) for p in starts]
+    starts = [p - 1 for p in scan]
+    ends = [0] + [p + len(tm_word(high)) for p in starts]
     return all(word[end:start] in basis for end, start in zip(ends, starts + [len(word)]) if end < start)
 
 

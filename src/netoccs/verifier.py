@@ -49,6 +49,7 @@ from .thue_morse import (
     factorization_boundary_ok,
     predicted_tm_net_occurrences,
     smallest_factorization,
+    target_scan,
     validate_smallest_factorization,
 )
 from .words import fib_word, tm_flip_word, tm_word
@@ -159,8 +160,9 @@ def _factorization_ok(i: int, j: int, kind: str) -> bool:
         fac = smallest_factorization(i, j, kind)
     except ValueError:  # (i, j, kind) is in the domain: the construction is at fault
         return False
-    valid = validate_smallest_factorization(i, j, kind, fac)
-    return valid and factorization_basis_ok(fac) and factorization_boundary_ok(fac)
+    scan = target_scan(i, j, kind)
+    valid = validate_smallest_factorization(i, j, kind, fac, scan)
+    return valid and factorization_basis_ok(fac, scan) and factorization_boundary_ok(fac)
 
 
 def _tm_claims(i: int) -> _Claims:

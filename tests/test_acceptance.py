@@ -35,6 +35,7 @@ from netoccs.thue_morse import (
     jacobsthal,
     predicted_tm_net_occurrences,
     smallest_factorization,
+    target_scan,
     validate_smallest_factorization,
 )
 from netoccs.verifier import verify_onoc_lemma_random
@@ -173,9 +174,10 @@ def test_criterion_08_smallest_factorizations_satisfy_all_checks():
                 if j == 0 and kind == "B":
                     continue
                 fac = smallest_factorization(i, j, kind)
+                scan = target_scan(i, j, kind)
                 ok = (
-                    validate_smallest_factorization(i, j, kind, fac)
-                    and factorization_basis_ok(fac)
+                    validate_smallest_factorization(i, j, kind, fac, scan)
+                    and factorization_basis_ok(fac, scan)
                     and factorization_boundary_ok(fac)
                 )
                 if not ok:

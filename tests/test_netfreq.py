@@ -186,6 +186,61 @@ def test_oracle_verifies_exactly_the_records_it_reports(monkeypatch):
         assert records == net_occurrences_indexed(text), text
 
 
+PAPER_WORDS = {
+    **{f"fib-{i}": fib_word(i) for i in range(5, 23)},
+    **{f"tm-{i}": tm_word(i) for i in range(3, 17)},
+}
+
+
+@pytest.mark.parametrize("name", ["fib-18", "fib-20", "tm-12", "tm-14"])
+def test_oracle_makes_at_most_one_probe_per_letter_on_the_paper_words(name, monkeypatch):
+    # The repeated length grows at only 3 (Fibonacci) or 9 (Thue-Morse)
+    # starts, so galloping there keeps the count below one probe per
+    # letter; extending one letter at a time makes 1.6-1.75 per letter.
+    probes = []
+    original = netfreq.occurs_elsewhere
+
+    def counting(text, s0, m):
+        probes.append(m)
+        return original(text, s0, m)
+
+    monkeypatch.setattr(netfreq, "occurs_elsewhere", counting)
+    net_occurrences_bruteforce(PAPER_WORDS[name])
+    assert 0 < len(probes) <= len(PAPER_WORDS[name])
+
+
+@pytest.mark.parametrize("unit", ["a", "ab", "aab"])
+def test_oracle_matches_indexed_where_repeats_run_to_the_end(unit):
+    # Every start past the first period repeats up to the end of the text,
+    # so the search is capped there, on both sides of each power of two.
+    for k in range(1, 601):
+        text = unit * k
+        assert net_occurrences_bruteforce(text) == net_occurrences_indexed(text), k
+
+
+@pytest.mark.parametrize("name", PAPER_WORDS)
+def test_oracle_matches_indexed_on_the_paper_words(name):
+    text = PAPER_WORDS[name]
+    assert net_occurrences_bruteforce(text) == net_occurrences_indexed(text)
+
+
+def _capped_text(rng):
+    # A random three-letter head, then a periodic run to the end of the
+    # text, so that the search reaches the end from many starts.
+    head = "".join(rng.choice("abc") for _ in range(rng.randint(0, 8)))
+    period = "".join(rng.choice("abc") for _ in range(rng.randint(1, 5)))
+    return head + (period * 40)[: rng.randint(1, 40)]
+
+
+_rng_capped = random.Random(20261019)
+CAPPED_TEXTS = [_capped_text(_rng_capped) for _ in range(300)]
+
+
+def test_oracle_matches_literal_reference_where_repeats_run_to_the_end():
+    for text in CAPPED_TEXTS:
+        assert occ_pairs(net_occurrences_bruteforce(text)) == reference.net_occurrences(text), text
+
+
 def test_net_frequency_examples():
     f7 = fib_word(7)
     assert net_frequency(f7, "abaaba") == 2

@@ -27,6 +27,7 @@ from netoccs.thue_morse import (
     jacobsthal,
     predicted_tm_net_occurrences,
     smallest_factorization,
+    target_scan,
     validate_smallest_factorization,
 )
 from netoccs.words import (
@@ -123,7 +124,7 @@ def test_recurrences_hold_nothing_after_a_call():
         before = tracemalloc.get_traced_memory()[0]
         for kind in ("A", "B"):
             fac = smallest_factorization(18, 16, kind)
-            assert validate_smallest_factorization(18, 16, kind, fac)
+            assert validate_smallest_factorization(18, 16, kind, fac, target_scan(18, 16, kind))
             del fac
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -292,8 +293,9 @@ def test_smallest_factorization_nine_factors_at_offset_three():
     fac = smallest_factorization(5, 3, "A")
     assert len(fac.factors) == 9
     assert "".join(fac.texts) == tm_word(5)
-    assert validate_smallest_factorization(5, 3, "A", fac)
-    assert factorization_basis_ok(fac)
+    scan = target_scan(5, 3, "A")
+    assert validate_smallest_factorization(5, 3, "A", fac, scan)
+    assert factorization_basis_ok(fac, scan)
     assert factorization_boundary_ok(fac)
 
 
@@ -301,14 +303,16 @@ def test_letterwise_construction_at_top_offset():
     fac = smallest_factorization(3, 2, "A")
     labels = [(f.kind, f.resolve()) for f in fac.factors]
     assert labels == [("TM", "a"), ("lit", "bb"), ("TM", "a")]
-    assert validate_smallest_factorization(3, 2, "A", fac)
+    scan = target_scan(3, 2, "A")
+    assert validate_smallest_factorization(3, 2, "A", fac, scan)
     assert factorization_boundary_ok(fac)
-    assert not factorization_basis_ok(fac)  # the double-letter gap
+    assert not factorization_basis_ok(fac, scan)  # the double-letter gap
 
     fac = smallest_factorization(3, 2, "B")
     assert [f.resolve() for f in fac.factors] == ["a", "b", "b", "a"]
-    assert validate_smallest_factorization(3, 2, "B", fac)
-    assert factorization_basis_ok(fac)
+    scan = target_scan(3, 2, "B")
+    assert validate_smallest_factorization(3, 2, "B", fac, scan)
+    assert factorization_basis_ok(fac, scan)
     assert factorization_boundary_ok(fac)
 
 
@@ -321,7 +325,7 @@ def test_smallest_factorization_domain_errors():
 def test_validate_rejects_degenerate_empty():
     fac = smallest_factorization(5, 0, "B")
     with pytest.raises(ValueError):
-        validate_smallest_factorization(5, 0, "B", fac)
+        validate_smallest_factorization(5, 0, "B", fac, target_scan(5, 0, "B"))
 
 
 def test_factorization_must_flatten_to_target():
@@ -352,7 +356,7 @@ def test_validate_rejects_a_factorization_of_another_order():
     fac = smallest_factorization(5, 2, "A")
     for i in (4, 6):
         with pytest.raises(ValueError):
-            validate_smallest_factorization(i, 2, "A", fac)
+            validate_smallest_factorization(i, 2, "A", fac, target_scan(i, 2, "A"))
 
 
 def test_validate_rejects_adjacent_gap_factors():
@@ -371,7 +375,7 @@ def test_validate_rejects_adjacent_gap_factors():
     )
     fac = SmallestFactorization(factors, "A", 4, 3)
     assert "".join(fac.texts) == word
-    assert not validate_smallest_factorization(4, 3, "A", fac)
+    assert not validate_smallest_factorization(4, 3, "A", fac, target_scan(4, 3, "A"))
 
 
 def test_validate_rejects_missing_target_placement():
@@ -379,7 +383,7 @@ def test_validate_rejects_missing_target_placement():
     word = tm_word(3)
     fac = SmallestFactorization((tm_ref(1), lit_ref("bba")), "A", 3, 2)
     assert "".join(fac.texts) == word
-    assert not validate_smallest_factorization(3, 2, "A", fac)
+    assert not validate_smallest_factorization(3, 2, "A", fac, target_scan(3, 2, "A"))
 
 
 FULL_SWEEP = [
@@ -402,9 +406,10 @@ def test_basis_failures_are_exactly_the_double_letter_gap_cases():
     failures = set()
     for i, j, kind in FULL_SWEEP:
         fac = smallest_factorization(i, j, kind)
-        assert validate_smallest_factorization(i, j, kind, fac), (i, j, kind)
+        scan = target_scan(i, j, kind)
+        assert validate_smallest_factorization(i, j, kind, fac, scan), (i, j, kind)
         assert factorization_boundary_ok(fac), (i, j, kind)
-        if not factorization_basis_ok(fac):
+        if not factorization_basis_ok(fac, scan):
             failures.add((i, j, kind))
     assert failures == EXPECTED_BASIS_FAILURES
 
@@ -414,10 +419,10 @@ def test_factorization_basis_reads_the_gaps_from_a_direct_scan(monkeypatch):
     check must read the gaps from the word itself: with one occurrence of
     the target lost from the scan, the gap around it is no basis word."""
     fac = smallest_factorization(8, 4, "A")
-    assert factorization_basis_ok(fac)
+    assert factorization_basis_ok(fac, target_scan(8, 4, "A"))
     true_scan = thue_morse.find_occurrences
     monkeypatch.setattr(thue_morse, "find_occurrences", lambda pattern, text: true_scan(pattern, text)[:-1])
-    assert not factorization_basis_ok(fac)
+    assert not factorization_basis_ok(fac, target_scan(8, 4, "A"))
 
 
 def test_factorization_json_shape():

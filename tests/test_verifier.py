@@ -276,6 +276,18 @@ def test_a_faulty_factorization_construction_fails_its_claim(monkeypatch, capsys
     assert failed == [f"FAIL order_{i}/smallest_factorizations_valid  witness=[[3, 'A']]" for i in (5, 6, 7)]
 
 
+def test_factorization_checks_share_one_target_scan(monkeypatch):
+    # validate_smallest_factorization and factorization_basis_ok read the
+    # same direct scan of tm_word(i), made once per (i, j, kind).
+    scanned = []
+    true_scan = thue_morse.find_occurrences
+    monkeypatch.setattr(thue_morse, "find_occurrences", lambda p, t: scanned.append(p) or true_scan(p, t))
+    for j, kind in [(0, "A"), (3, "A"), (3, "B"), (8, "B")]:
+        scanned.clear()
+        assert verifier._factorization_ok(10, j, kind)
+        assert scanned == [(tm_word if kind == "A" else tm_flip_word)(10 - j)]
+
+
 def test_no_recurrence_state_outlives_a_call(monkeypatch):
     fib_scan = find_occurrences(fib_word(6), fib_word(10))
     tm_scan = OccurrenceSets(*(find_occurrences(w, tm_word(8)) for w in (tm_word(4), tm_flip_word(4))))
