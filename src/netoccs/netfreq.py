@@ -6,14 +6,16 @@ Two independent enumerators are provided and must agree everywhere:
   position it finds the largest repeated substring beginning there. One
   candidate per start suffices: a shorter candidate has a repeated right
   extension, so it cannot be a net occurrence, and a longer one is not
-  repeated at all. The lengths come from one forward scan of C-speed repeat
-  probes that gallops, then bisects, from the previous start's length minus
-  one: n probes plus a logarithmic number per start that grows, for a text
-  of length n. A start whose length did not grow past the one resumed from
-  the previous start is settled by the scan itself: its left extension is
-  the repeated string just found one position earlier. Every other
-  candidate, and so every reported record, is checked against the
-  definition by ``is_net_occurrence`` (see the function's docstring).
+  repeated at all. One forward scan of C-speed repeat probes gallops, then
+  bisects, over lengths and over starts. From a start s whose shortest
+  unique substring ends at e, a search for the last start that keeps the
+  string up to e unique settles a whole run of starts: their lengths fall
+  by one from start to start, and each left extension is the repeated
+  string one position earlier. The scan resumes just past the run. So the
+  probes grow with the number of runs, not with the length: 92 at fib 20
+  (6,765 letters) and 327 at tm 14 (8,192). Every candidate the scan
+  visits, and so every reported record, is checked against the definition
+  by ``is_net_occurrence`` (see the function's docstring).
 * ``net_occurrences_indexed`` — suffix-array route, in two steps. First the
   bounds (``_net_bounds``): it computes, for every suffix, the maximum
   common prefix with any other suffix (adjacent maxima of the LCP array)
@@ -30,7 +32,7 @@ Two independent enumerators are provided and must agree everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -71,52 +73,68 @@ def _record(text: str, occ: Occurrence) -> NetOccurrenceRecord:
     )
 
 
+def _gallop(lo: int, hi: int, ok: Callable[[int], bool]) -> int:
+    """Largest x in [lo, hi) with ok(x), for an ``ok`` that holds at lo and
+    is monotone (true, then false). Probes lo + 1, lo + 2, lo + 4, ... below
+    hi, then bisects below the first failure: one probe when the answer is
+    lo (none when lo + 1 = hi), at most 2 floor(log2 g) + 2 when it is lo + g.
+    """
+    good, bad, step = lo, hi, 1
+    while bad - good > 1:
+        mid = lo + step if lo + step < bad else (good + bad) // 2
+        if ok(mid):
+            good, step = mid, step * 2
+        else:
+            bad = mid
+    return good
+
+
 def net_occurrences_bruteforce(text: str) -> list[NetOccurrenceRecord]:
     """All net occurrences, checked against the definition, sorted by start.
 
     A net occurrence starting at s must cover exactly the longest repeated
-    substring starting there, so each start yields at most one candidate.
+    substring starting there, of R[s] letters, so each start yields at most
+    one candidate. Both searches below run through ``_gallop`` and probe
+    only ``occurs_elsewhere``.
 
-    The longest repeated length R[s] is found by probing whether the prefix
-    of a given length at s occurs elsewhere (``occurs_elsewhere``). Dropping
-    the first letter of a repeated substring leaves a repeated substring,
-    so R[s] >= R[s-1] - 1; dropping the last letter does too, so the
-    repeated lengths at s are exactly 0..R[s]. Each start thus gallops from
-    R[s-1] - 1 (+1, +2, +4, ..., capped at the end of the text) and bisects
-    below the first failed probe: one probe for a start that does not grow
-    (none at the cap), at most 2 floor(log2 g) + 2 for one that grows by g.
+    Over lengths: every prefix of a repeated string is repeated, so the
+    repeated lengths at s are exactly 0..R[s]; the search resumes from a
+    length already known to be repeated at s.
 
-    A start s > 1 that does not extend, R[s] = R[s-1] - 1, is rejected
-    without further search: the candidate's left extension is the
-    length-R[s-1] string at s - 1, which the scan has just proved repeated.
-    Every other candidate goes through ``is_net_occurrence``, so each
-    reported record is still checked against the definition (three
-    ``occurs_elsewhere`` probes).
+    Over starts: if s + R[s] = n, every later start t has R[t] = n - t =
+    R[t-1] - 1 and the scan ends. Otherwise text[s:e], e = s + R[s] + 1, is
+    unique, and so is text[t:e] for every t up to some t* < e: a string
+    that contains a unique string is unique. Each t in (s, t*] has
+    R[t] = e - 1 - t = R[t-1] - 1, as text[t:e-1] is a suffix of the
+    repeated text[s:e-1], and is rejected without a probe: its left
+    extension is the repeated length-R[t-1] string at t - 1. If t* = e - 1,
+    text[e-1] is a unique letter and the scan resumes at e from length 0.
+    Otherwise text[t*+1:e] was just found repeated, so R[t*+1] >= R[t*]:
+    the scan resumes at t*+1 from length e - t* - 1, with a candidate there.
+
+    Each visited start costs one probe, plus a logarithmic number per growth
+    and per run: on fib 18-22 and tm 12-16, at most 32 * n.bit_length()
+    probes for n letters (92 at fib 20, 327 at tm 14), and about two per
+    letter on a random binary text. Every visited candidate goes through
+    ``is_net_occurrence``, so each reported record is still checked against
+    the definition (three ``occurs_elsewhere`` probes).
     """
     if not text:
         raise ValueError("net_occurrences_bruteforce: empty text")
     n = len(text)
     out = []
-    length = 0
-    for s0 in range(n):
-        resumed = length = max(length - 1, 0)
-        step, bad = 1, n - s0 + 1  # length is repeated (or 0); bad is not, or runs off the end
-        while bad - length > 1:
-            # Gallop up from the resumed length; after a failure or at the end, bisect.
-            mid = resumed + step if resumed + step < bad else (length + bad) // 2
-            if occurs_elsewhere(text, s0, mid):
-                length, step = mid, step * 2
-            else:
-                bad = mid
-        if length == resumed:
-            # Settled by the scan: either there is no candidate (length 0,
-            # always the case at s0 = 0), or the left extension is the
-            # repeated length-R[s0-1] string just found at s0 - 1.
-            continue
-        occ = Occurrence(s0 + 1, s0 + length)
-        if is_net_occurrence(text, occ):
-            out.append(_record(text, occ))
-    return out
+    s0 = length = 0  # the empty string is repeated at every start
+    while True:
+        length = _gallop(length, n - s0 + 1, lambda m: occurs_elsewhere(text, s0, m))
+        if length:
+            occ = Occurrence(s0 + 1, s0 + length)
+            if is_net_occurrence(text, occ):
+                out.append(_record(text, occ))
+        e = s0 + length + 1
+        if e > n:
+            return out
+        last = _gallop(s0, e, lambda t: not occurs_elsewhere(text, t, e - t))
+        s0, length = last + 1, e - last - 1
 
 
 def suffix_array(text: str) -> list[int]:

@@ -36,7 +36,7 @@ from .fibonacci import (
     theta_steps,
 )
 from .netfreq import NetOccurrenceRecord, net_occurrences_bruteforce, net_occurrences_indexed
-from .occurrences import Occurrence, find_occurrences
+from .occurrences import Occurrence, PositionSet, find_occurrences
 from .onoc import bnso_set, bridging, greedy_onoc, prove_completeness, widen
 from .reports import ClaimResult
 from .thue_morse import (
@@ -49,7 +49,6 @@ from .thue_morse import (
     factorization_boundary_ok,
     predicted_tm_net_occurrences,
     smallest_factorization,
-    target_scan,
     validate_smallest_factorization,
 )
 from .words import fib_word, tm_flip_word, tm_word
@@ -155,20 +154,22 @@ def _fib_claims(i: int) -> _Claims:
     yield _engines_agree(word, records)
 
 
-def _factorization_ok(i: int, j: int, kind: str) -> bool:
+def _factorization_ok(i: int, j: int, kind: str, scan: PositionSet) -> bool:
+    """The (i, j, kind) smallest factorization passes every check against
+    ``scan``, the direct scan of its target in tm_word(i)."""
     try:
         fac = smallest_factorization(i, j, kind)
     except ValueError:  # (i, j, kind) is in the domain: the construction is at fault
         return False
-    scan = target_scan(i, j, kind)
     valid = validate_smallest_factorization(i, j, kind, fac, scan)
     return valid and factorization_basis_ok(fac, scan) and factorization_boundary_ok(fac)
 
 
 def _tm_claims(i: int) -> _Claims:
     word = tm_word(i)
-    # The recurrence steps, read in one pass, against one direct scan of
-    # tm_word(i-j) and its flip per offset, and their sizes against counts.
+    # One direct scan of tm_word(i-j) and its flip per offset, read by the
+    # recurrence steps (built in one pass) and the smallest factorizations;
+    # the steps' sizes are checked against the counts.
     scans = [
         OccurrenceSets(find_occurrences(tm_word(i - j), word), find_occurrences(tm_flip_word(i - j), word))
         for j in range(i - 1)
@@ -181,7 +182,7 @@ def _tm_claims(i: int) -> _Claims:
     yield "occurrence_counts_match", _offset_table(
         range(i - 1), lambda j: (len(sets[j].a_set), len(sets[j].b_set)) == (a_seq[j], b_seq[j])
     )
-    del scans, steps, sets  # before the order's heavier claims run
+    del steps, sets  # before the order's heavier claims run
     # One offset past its domain the count recurrence disagrees with the word,
     # by design: the sweep asserts the disagreement rather than hiding it.
     oracle_top = len(find_occurrences("a", word))
@@ -193,7 +194,13 @@ def _tm_claims(i: int) -> _Claims:
     records = yield from _prediction_claims(word, predicted_tm_net_occurrences(i))
     # Kind B at offset 0 is the degenerate empty factorization.
     factorizations = [[j, kind] for j in range(i - 1) for kind in ("A", "B") if j or kind == "A"]
-    yield "smallest_factorizations_valid", _offset_table(factorizations, lambda jk: _factorization_ok(i, *jk))
+
+    def factorization_ok(jk: list) -> bool:
+        j, kind = jk
+        return _factorization_ok(i, j, kind, scans[j].a_set if kind == "A" else scans[j].b_set)
+
+    yield "smallest_factorizations_valid", _offset_table(factorizations, factorization_ok)
+    del scans
     yield _engines_agree(word, records)
 
 
@@ -217,10 +224,13 @@ def _sweep(family: str, claims: Callable[[int], _Claims], first: int, last: int)
     )
 
 
-# The largest orders a sweep accepts. The oracle is quadratic: each order costs
-# about 2.6x (Fibonacci) or 3.4x (Thue-Morse) the one before. One run each,
-# in-process on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4): verify_fibonacci(24)
-# 17.1 s and verify_thue_morse(17) 21.8 s, peak RSS 40.0 and 41.6 MB.
+# The largest orders a sweep accepts. On these words the oracle makes a few
+# hundred probes per order (0.04-0.06 s at tm 17), so most of the time goes to
+# the factorization checks, the direct scans and the indexed engine. Each
+# order costs about 1.5x (Fibonacci) or 1.8x (Thue-Morse) the one before.
+# Three runs each, in-process on a 2-vCPU x86_64 VM (Python 3.11.7, numpy
+# 2.4.6): verify_fibonacci(24) 0.34-0.35 s and verify_thue_morse(17)
+# 0.80-0.85 s, peak RSS 40.0 and 43.6 MB.
 VERIFY_FIB_MAX_ORDER = 24
 VERIFY_TM_MAX_ORDER = 17
 

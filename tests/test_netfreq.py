@@ -192,21 +192,51 @@ PAPER_WORDS = {
 }
 
 
+def _oracle_probes(text, monkeypatch):
+    probes = []
+    original = netfreq.occurs_elsewhere
+
+    def counting(host, s0, m):
+        probes.append(m)
+        return original(host, s0, m)
+
+    monkeypatch.setattr(netfreq, "occurs_elsewhere", counting)
+    net_occurrences_bruteforce(text)
+    return len(probes)
+
+
 @pytest.mark.parametrize("name", ["fib-18", "fib-20", "tm-12", "tm-14"])
 def test_oracle_makes_at_most_one_probe_per_letter_on_the_paper_words(name, monkeypatch):
     # The repeated length grows at only 3 (Fibonacci) or 9 (Thue-Morse)
     # starts, so galloping there keeps the count below one probe per
     # letter; extending one letter at a time makes 1.6-1.75 per letter.
-    probes = []
-    original = netfreq.occurs_elsewhere
+    assert 0 < _oracle_probes(PAPER_WORDS[name], monkeypatch) <= len(PAPER_WORDS[name])
 
-    def counting(text, s0, m):
-        probes.append(m)
-        return original(text, s0, m)
 
-    monkeypatch.setattr(netfreq, "occurs_elsewhere", counting)
-    net_occurrences_bruteforce(PAPER_WORDS[name])
-    assert 0 < len(probes) <= len(PAPER_WORDS[name])
+@pytest.mark.parametrize("name", ["fib-18", "fib-20", "fib-22", "tm-12", "tm-14", "tm-16"])
+def test_oracle_probes_logarithmically_on_the_paper_words(name, monkeypatch):
+    # Each run of starts whose repeated length does not grow is settled by
+    # one galloping search, so the probes grow with the number of runs, not
+    # with the length; a length search at every start makes 0.6-0.8 per letter.
+    text = PAPER_WORDS[name]
+    assert 0 < _oracle_probes(text, monkeypatch) <= 32 * len(text).bit_length()
+
+
+def test_oracle_matches_indexed_on_all_ternary_texts():
+    texts = ["".join(letters) for length in range(1, 8) for letters in product("abc", repeat=length)]
+    assert len(texts) == 3279
+    for text in texts:
+        assert net_occurrences_bruteforce(text) == net_occurrences_indexed(text), text
+
+
+@pytest.mark.parametrize("unit", ["a", "ab", "aab"])
+def test_oracle_matches_indexed_where_settled_starts_end_on_a_unique_letter(unit):
+    # From each start of the first half the shortest unique substring ends
+    # on the "c", so the run of settled starts reaches it (t* = e - 1) and
+    # the search resumes from length 0 just past it.
+    for k in range(51):
+        text = unit * k + "c" + unit * k
+        assert net_occurrences_bruteforce(text) == net_occurrences_indexed(text), k
 
 
 @pytest.mark.parametrize("unit", ["a", "ab", "aab"])

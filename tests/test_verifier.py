@@ -277,15 +277,21 @@ def test_a_faulty_factorization_construction_fails_its_claim(monkeypatch, capsys
 
 
 def test_factorization_checks_share_one_target_scan(monkeypatch):
-    # validate_smallest_factorization and factorization_basis_ok read the
-    # same direct scan of tm_word(i), made once per (i, j, kind).
+    # One order's stream scans each target, tm_word(i-j) and its flip, once
+    # in tm_word(i): the occurrence-set claims, validate_smallest_factorization
+    # and factorization_basis_ok all read that scan.
     scanned = []
-    true_scan = thue_morse.find_occurrences
-    monkeypatch.setattr(thue_morse, "find_occurrences", lambda p, t: scanned.append(p) or true_scan(p, t))
+    true_scan = find_occurrences
+    for module in (verifier, thue_morse):
+        monkeypatch.setattr(module, "find_occurrences", lambda p, t: scanned.append((p, t)) or true_scan(p, t))
+    claims = dict(verifier._tm_claims(10))
+    assert claims["smallest_factorizations_valid"].passed
+    targets = [(w(10 - j), tm_word(10)) for j in range(9) for w in (tm_word, tm_flip_word)]
+    assert sorted(scan for scan in scanned if scan in targets) == sorted(targets)
     for j, kind in [(0, "A"), (3, "A"), (3, "B"), (8, "B")]:
         scanned.clear()
-        assert verifier._factorization_ok(10, j, kind)
-        assert scanned == [(tm_word if kind == "A" else tm_flip_word)(10 - j)]
+        assert verifier._factorization_ok(10, j, kind, thue_morse.target_scan(10, j, kind))
+        assert scanned == [((tm_word if kind == "A" else tm_flip_word)(10 - j), tm_word(10))]
 
 
 def test_no_recurrence_state_outlives_a_call(monkeypatch):
