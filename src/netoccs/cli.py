@@ -32,6 +32,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Net occurrences of repeated substrings in binary words.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --json and --output, for every command but gen
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true")
+    report.add_argument("--output", metavar="PATH")
 
     gen = sub.add_parser("gen", help="generate a word and print it")
     gen.add_argument("family", choices=["fib", "tm"])
@@ -39,55 +43,52 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--flip", action="store_true", help="exchange a and b letterwise")
     gen.add_argument("--output", metavar="PATH")
 
-    net = sub.add_parser("netocc", help="list net occurrences of a text")
+    net = sub.add_parser("netocc", parents=[report], help="list net occurrences of a text")
     source = net.add_mutually_exclusive_group(required=True)
     source.add_argument("--text", metavar="FILE", help="read the word from a file")
     source.add_argument("--fib", type=int, metavar="N", help="use the order-N Fibonacci word")
     source.add_argument("--tm", type=int, metavar="N", help="use the order-N Thue-Morse word")
     net.add_argument("--engine", choices=["oracle", "indexed"], default="indexed")
-    net.add_argument("--json", action="store_true")
-    net.add_argument("--output", metavar="PATH")
 
-    occ = sub.add_parser("occ-sets", help="recurrence position sets vs. direct scan")
+    occ = sub.add_parser("occ-sets", parents=[report], help="recurrence position sets vs. direct scan")
     occ.add_argument("family", choices=["fib", "tm"])
     occ.add_argument("--order", type=int, required=True)
     occ.add_argument("--j", type=int, required=True)
-    occ.add_argument("--json", action="store_true")
-    occ.add_argument("--output", metavar="PATH")
 
-    fac = sub.add_parser("factorize", help="smallest factorization containing all target occurrences")
+    fac = sub.add_parser(
+        "factorize", parents=[report], help="smallest factorization containing all target occurrences"
+    )
     fac.add_argument("family", choices=["tm"])
     fac.add_argument("--order", type=int, required=True)
     fac.add_argument("--j", type=int, required=True)
     fac.add_argument("--kind", choices=["A", "B"], required=True)
-    fac.add_argument("--json", action="store_true")
-    fac.add_argument("--output", metavar="PATH")
 
-    ver = sub.add_parser("verify", help="run a verification sweep")
+    ver = sub.add_parser("verify", parents=[report], help="run a verification sweep")
     ver.add_argument("family", choices=["fib", "tm", "onoc"])
     ver.add_argument("--max-order", type=int, default=None)
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--samples", type=int, default=None)
     ver.add_argument("--max-len", type=int, default=None)
     ver.add_argument("--exhaustive", action="store_true")
-    ver.add_argument("--json", action="store_true")
-    ver.add_argument("--output", metavar="PATH")
 
-    chk = sub.add_parser("onoc-check", help="prove a claimed cover complete")
+    chk = sub.add_parser("onoc-check", parents=[report], help="prove a claimed cover complete")
     chk.add_argument("--text", metavar="FILE", required=True)
     chk.add_argument("--cover", metavar="S1,E1;S2,E2;...", required=True)
-    chk.add_argument("--json", action="store_true")
-    chk.add_argument("--output", metavar="PATH")
 
     return parser
 
 
-def _emit(payload: str, output: str | None) -> None:
+def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="ascii") as fh:
-            fh.write(payload + "\n")
+            fh.write(text + "\n")
     else:
-        print(payload)
+        print(text)
+
+
+def _emit_report(args, payload, text: str) -> None:
+    """Emit ``payload`` as JSON under --json, else ``text``."""
+    _emit(json.dumps(payload, indent=2) if args.json else text, args.output)
 
 
 def _positions_line(label: str, positions) -> str:
@@ -114,61 +115,37 @@ def _cmd_netocc(args) -> int:
     text = _load_text(args)
     engine = net_occurrences_bruteforce if args.engine == "oracle" else net_occurrences_indexed
     records = engine(text)
-    if args.json:
-        _emit(json.dumps([r.to_json_dict() for r in records], indent=2), args.output)
-    else:
-        lines = [
-            f"{r.occurrence.start}\t{r.occurrence.end}\t{r.substring}\t"
-            f"{r.left or '-'}\t{r.right or '-'}"
-            for r in records
-        ]
-        _emit("\n".join(lines) if lines else "(no net occurrences)", args.output)
+    lines = [
+        f"{r.occurrence.start}\t{r.occurrence.end}\t{r.substring}\t"
+        f"{r.left or '-'}\t{r.right or '-'}"
+        for r in records
+    ]
+    _emit_report(args, [r.to_json_dict() for r in records], "\n".join(lines) or "(no net occurrences)")
     return 0
 
 
 def _cmd_occ_sets(args) -> int:
     i, j = args.order, args.j
+    # One (label, recurrence, direct scan) row per position set: the θ set,
+    # or the a and b sets of a Thue-Morse target and its flip.
     if args.family == "fib":
-        recurrence = theta_set(i, j)
-        oracle = find_occurrences(fib_word(i - j), fib_word(i))
-        equal = recurrence == oracle
-        payload = {
-            "family": "fib",
-            "order": i,
-            "j": j,
-            "recurrence": list(recurrence),
-            "oracle": list(oracle),
-            "equal": equal,
-        }
-        text_lines = [
-            _positions_line("recurrence", recurrence),
-            _positions_line("oracle", oracle),
-            f"equal: {str(equal).lower()}",
-        ]
+        rows = [("", theta_set(i, j), find_occurrences(fib_word(i - j), fib_word(i)))]
     else:
         sets = ab_sets(i, j)
-        word = tm_word(i)
-        target = tm_word(i - j)
-        oracle_a = find_occurrences(target, word)
-        oracle_b = find_occurrences(flip_word(target), word)
-        equal = sets.a_set == oracle_a and sets.b_set == oracle_b
-        payload = {
-            "family": "tm",
-            "order": i,
-            "j": j,
-            "a": {"recurrence": list(sets.a_set), "oracle": list(oracle_a), "equal": sets.a_set == oracle_a},
-            "b": {"recurrence": list(sets.b_set), "oracle": list(oracle_b), "equal": sets.b_set == oracle_b},
-            "equal": equal,
-        }
-        text_lines = [
-            _positions_line("a recurrence", sets.a_set),
-            _positions_line("a oracle", oracle_a),
-            _positions_line("b recurrence", sets.b_set),
-            _positions_line("b oracle", oracle_b),
-            f"equal: {str(equal).lower()}",
-        ]
-    _emit(json.dumps(payload, indent=2) if args.json else "\n".join(text_lines), args.output)
-    return 0 if payload["equal"] else 1
+        rows = [("a", sets.a_set, target_scan(i, j, "A")), ("b", sets.b_set, target_scan(i, j, "B"))]
+    equal = all(recurrence == oracle for _, recurrence, oracle in rows)
+    payload = {"family": args.family, "order": i, "j": j}
+    text_lines = []
+    for label, recurrence, oracle in rows:
+        entry = {"recurrence": list(recurrence), "oracle": list(oracle), "equal": recurrence == oracle}
+        payload.update({label: entry} if label else entry)  # a lone unlabelled row is the payload itself
+        prefix = label and f"{label} "
+        text_lines.append(_positions_line(f"{prefix}recurrence", recurrence))
+        text_lines.append(_positions_line(f"{prefix}oracle", oracle))
+    payload["equal"] = equal
+    text_lines.append(f"equal: {str(equal).lower()}")
+    _emit_report(args, payload, "\n".join(text_lines))
+    return 0 if equal else 1
 
 
 def _factor_label(ref) -> str:
@@ -193,7 +170,7 @@ def _cmd_factorize(args) -> int:
             f"{k}={str(payload[k]).lower()}" for k in ("valid", "basis_ok", "boundary_ok")
         )
         text_out = " ".join(_factor_label(r) for r in factors) + "\n" + flags
-    _emit(json.dumps(payload, indent=2) if args.json else text_out, args.output)
+    _emit_report(args, payload, text_out)
     return 0
 
 
@@ -219,8 +196,7 @@ def _cmd_verify(args) -> int:
         if args.max_order is None:
             raise ValueError(f"verify {args.family}: --max-order is required")
         report = verify_fibonacci(args.max_order) if args.family == "fib" else verify_thue_morse(args.max_order)
-        out = json.dumps(report.to_json_dict(), indent=2) if args.json else "\n".join(_report_lines(report))
-        _emit(out, args.output)
+        _emit_report(args, report.to_json_dict(), "\n".join(_report_lines(report)))
         return 0 if report.all_passed() else 1
 
     if args.max_order is not None:
@@ -233,14 +209,11 @@ def _cmd_verify(args) -> int:
     samples = 1000 if args.samples is None else args.samples
     max_len = args.max_len if args.max_len is not None else (14 if args.exhaustive else 24)
     prop = verify_onoc_lemma_random(seed, samples, max_len, exhaustive=args.exhaustive)
-    if args.json:
-        out = json.dumps(prop.to_json_dict(), indent=2)
-    else:
-        out = (
-            f"samples={prop.samples} tested={prop.tested()} skipped={prop.skipped} "
-            f"violations={len(prop.violations)} in {prop.wall_time:.2f}s"
-        )
-    _emit(out, args.output)
+    text = (
+        f"samples={prop.samples} tested={prop.tested()} skipped={prop.skipped} "
+        f"violations={len(prop.violations)} in {prop.wall_time:.2f}s"
+    )
+    _emit_report(args, prop.to_json_dict(), text)
     return 0 if prop.ok() else 1
 
 
@@ -262,23 +235,16 @@ def _cmd_onoc_check(args) -> int:
     text = read_word_file(args.text)
     cover = _parse_cover(args.cover)
     report = prove_completeness(text, cover)
-    if args.json:
-        payload = report.to_json_dict()
-        payload["complete"] = report.complete()
-        out = json.dumps(payload, indent=2)
-    else:
-        out = "\n".join(
-            [
-                f"cover_valid: {str(report.cover_valid).lower()}",
-                _positions_line("bnsos", [f"{o.start},{o.end}" for o in report.bnsos]),
-                _positions_line(
-                    "offending_supers", [f"{o.start},{o.end}" for o in report.offending_supers]
-                ),
-                f"oracle_agrees: {str(report.oracle_agrees).lower()}",
-                f"complete: {str(report.complete()).lower()}",
-            ]
-        )
-    _emit(out, args.output)
+    payload = report.to_json_dict()
+    payload["complete"] = report.complete()
+    lines = [
+        f"cover_valid: {str(report.cover_valid).lower()}",
+        _positions_line("bnsos", [f"{o.start},{o.end}" for o in report.bnsos]),
+        _positions_line("offending_supers", [f"{o.start},{o.end}" for o in report.offending_supers]),
+        f"oracle_agrees: {str(report.oracle_agrees).lower()}",
+        f"complete: {str(report.complete()).lower()}",
+    ]
+    _emit_report(args, payload, "\n".join(lines))
     return 0 if report.complete() else 1
 
 

@@ -66,8 +66,6 @@ def bnso_set(members: Sequence[Occurrence]) -> tuple[Occurrence, ...]:
     """The overlap intervals (next.start, current.end) between consecutive
     cover members, in order. Empty for a single-member cover; a gap between
     two members raises ValueError, as the overlap is not an occurrence."""
-    # A list, not a generator: on the exhaustive sweep the generator form
-    # raised peak memory by about 1 MB.
     return tuple([Occurrence(cur.start, prev.end) for prev, cur in zip(members, members[1:])])
 
 

@@ -318,9 +318,14 @@ def smallest_factorization(i: int, j: int, kind: str) -> SmallestFactorization:
     return SmallestFactorization(factors, kind, i, j)
 
 
+def _target(i: int, j: int, kind: str) -> str:
+    """The (i, j, kind) target word: tm_word(i-j) for kind A, its flip for B."""
+    return (tm_word if kind == "A" else tm_flip_word)(i - j)
+
+
 def target_scan(i: int, j: int, kind: str) -> PositionSet:
     """Direct scan: the 1-based starts of the (i, j, kind) target in tm_word(i)."""
-    return find_occurrences((tm_word if kind == "A" else tm_flip_word)(i - j), tm_word(i))
+    return find_occurrences(_target(i, j, kind), tm_word(i))
 
 
 def validate_smallest_factorization(
@@ -332,7 +337,7 @@ def validate_smallest_factorization(
     factorization of another order or one with no factors."""
     if fac.i != i or not fac.factors:
         raise ValueError(f"validate_smallest_factorization: need a non-empty factorization of order {i}")
-    target = tm_word(i - j) if kind == "A" else tm_flip_word(i - j)
+    target = _target(i, j, kind)
     texts, starts = fac.texts, fac.starts
     placed = {starts[k] for k, t in enumerate(texts) if t == target}
     if placed != set(scan):

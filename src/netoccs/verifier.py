@@ -49,9 +49,10 @@ from .thue_morse import (
     factorization_boundary_ok,
     predicted_tm_net_occurrences,
     smallest_factorization,
+    target_scan,
     validate_smallest_factorization,
 )
-from .words import fib_word, tm_flip_word, tm_word
+from .words import fib_word, tm_word
 
 
 def _versions() -> dict[str, str]:
@@ -170,10 +171,7 @@ def _tm_claims(i: int) -> _Claims:
     # One direct scan of tm_word(i-j) and its flip per offset, read by the
     # recurrence steps (built in one pass) and the smallest factorizations;
     # the steps' sizes are checked against the counts.
-    scans = [
-        OccurrenceSets(find_occurrences(tm_word(i - j), word), find_occurrences(tm_flip_word(i - j), word))
-        for j in range(i - 1)
-    ]
+    scans = [OccurrenceSets(target_scan(i, j, "A"), target_scan(i, j, "B")) for j in range(i - 1)]
     steps = list(ab_steps(i))
     sets = [OccurrenceSets(a_step.union(), b_step.union()) for a_step, b_step in steps]
     a_seq, b_seq = ab_counts(i - 2)

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface via netoccs.cli.run."""
 
 import contextlib
+import hashlib
 import io
 import json
 import platform
 import re
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -558,3 +560,38 @@ def test_onoc_check_argv_fuzz(tmp_path_factory, text, cover, as_json):
         assert code in (0, 1), argv
     if code != 2 and as_json:
         assert json.loads(out)["complete"] == (code == 0), argv
+
+
+def _output_corpus():
+    """The argv lists whose output the digest below pins: every offset of
+    the small orders of occ-sets and factorize, domain errors included, in
+    both modes, the verify misuse errors and a tiny exhaustive ONOC run."""
+    modes = ([], ["--json"])
+    for family, orders in (("fib", range(5, 11)), ("tm", range(1, 11))):
+        for i, mode in product(orders, modes):
+            for j in range(-1, i + 1):
+                yield ["occ-sets", family, "--order", str(i), "--j", str(j)] + mode
+    for i, mode in product(range(1, 9), modes):
+        for j, kind in product(range(-1, i + 1), "AB"):
+            yield ["factorize", "tm", "--order", str(i), "--j", str(j), "--kind", kind] + mode
+    yield ["verify", "fib"]
+    yield ["verify", "fib", "--max-order", "7", "--seed", "1"]
+    yield ["verify", "tm", "--max-order", "5", "--exhaustive"]
+    yield ["verify", "onoc", "--max-order", "5"]
+    yield ["verify", "onoc", "--exhaustive", "--seed", "1"]
+    yield ["verify", "onoc", "--exhaustive", "--max-len", "6"]
+
+
+# SHA-256 over (argv, exit code, stdout, stderr) of every _output_corpus run,
+# with the run time cut from verify's text lines.
+_OUTPUT_CORPUS_DIGEST = "b6613e6de2b68bb88a3e249be590a32eb9830354dea867d2098c8f343333f7c9"
+
+
+def test_cli_output_matches_the_recorded_digest():
+    digest = hashlib.sha256()
+    for argv in _output_corpus():
+        code, out, err = _run_captured(argv)
+        if argv[0] == "verify":
+            out = re.sub(r" in \d+\.\d\ds$", "", out, flags=re.MULTILINE)
+        digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+    assert digest.hexdigest() == _OUTPUT_CORPUS_DIGEST

@@ -198,6 +198,24 @@ def test_recurrence_intersections_catch_an_emptied_overlap(monkeypatch):
     assert _failing(dict(verifier._tm_claims(i))) == {"recurrence_intersections": [j]}
 
 
+def test_target_scan_is_the_one_thue_morse_scan(monkeypatch):
+    # A fault in target_scan reaches the sweep and occ-sets: neither scans a
+    # Thue-Morse target by itself.
+    i, j = 8, 4
+    true_scan = thue_morse.target_scan
+
+    def faulty(order, offset, kind):  # lose the last position of one target
+        scan = true_scan(order, offset, kind)
+        return scan[:-1] if (order, offset, kind) == (i, j, "A") else scan
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("netoccs") and getattr(module, "target_scan", None) is true_scan:
+            monkeypatch.setattr(module, "target_scan", faulty)
+    claim = dict(verifier._tm_claims(i))["occurrence_sets_match_oracle"]
+    assert not claim.passed and claim.witness == [j]
+    assert cli.run(["occ-sets", "tm", "--order", str(i), "--j", str(j)]) == 1
+
+
 # One order of each family, for the faults planted in the claims they share.
 _BOTH_FAMILIES = pytest.mark.parametrize(
     "claims, i", [(verifier._fib_claims, 9), (verifier._tm_claims, 7)], ids=["fib", "tm"]
