@@ -13,10 +13,13 @@ Four groups of machine-checkable facts about tm_word(i):
 * the "smallest factorization containing all occurrences" construction:
   a mutual recurrence over factor patterns (one per offset, the same for
   every host order) using letterwise flip and a splice operator that
-  merges the two central factors. Each call builds both kinds' patterns
-  in one loop up to its offset and keeps none. A factorization built from
-  a pattern repeats one shared FactorRef per factor word; each factor
-  resolves once.
+  merges the two central factors. A pattern is one byte per factor, the
+  code of its factor word, so the flip is one bytes.translate and the
+  splice a concatenation; each call builds both kinds' patterns in one
+  loop up to its offset and keeps none. A factorization holds at most
+  four distinct FactorRefs and the codes; each ref resolves once, and the
+  checks compare each distinct word with the target once and read the
+  factors through the codes.
 
 ab_sets deliberately stops at offset i-2: one step further the recurrence
 would shift by the length of an order-0 word, which does not exist, and
@@ -27,7 +30,7 @@ occurrence sets should scan the word directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby, islice
+from itertools import accumulate, compress, islice
 from typing import Iterator
 
 import numpy as np
@@ -219,79 +222,73 @@ class SmallestFactorization:
     word (tm_word(i-j) for kind A, its flip for kind B) is a whole factor,
     with the fewest factors possible.
 
-    Each factor is resolved once, at construction: texts holds the factor
-    words and starts their 1-based starting positions in tm_word(i). The
-    factors must spell tm_word(i); only kind B at offset 0, whose target
-    never occurs, may have none.
+    It is stored as built: a few distinct refs and one byte per factor, the
+    index of that factor's ref. Each ref a code uses is resolved once, at
+    construction: words holds those words (None for a ref no code uses) and
+    starts the factors' 1-based starting positions in tm_word(i); factors
+    and texts list the refs and the words factor by factor. The factors
+    must spell tm_word(i) in non-empty parts; only kind B at offset 0,
+    whose target never occurs, may have none.
     """
 
-    factors: tuple[FactorRef, ...]
+    refs: tuple[FactorRef, ...]
+    codes: bytes
     kind: str
     i: int
     j: int
-    texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    words: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
     starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        texts = tuple(f.resolve() for f in self.factors)
-        object.__setattr__(self, "texts", texts)
+        used = set(self.codes)
+        if max(used, default=-1) >= len(self.refs):
+            raise ValueError(f"codes {sorted(used)} index past the {len(self.refs)} refs")
+        words = tuple(ref.resolve() if code in used else None for code, ref in enumerate(self.refs))
+        object.__setattr__(self, "words", words)
+        texts = self.texts
         object.__setattr__(self, "starts", tuple(accumulate(map(len, texts), initial=1))[:-1])
-        if not texts and (self.kind, self.j) == ("B", 0):
-            return
-        if not all(texts) or "".join(texts) != tm_word(self.i):
+        degenerate = not texts and (self.kind, self.j) == ("B", 0)
+        if not degenerate and (not all(map(words.__getitem__, used)) or "".join(texts) != tm_word(self.i)):
             raise ValueError(f"factors do not spell tm_word({self.i}) in non-empty parts")
 
+    @property
+    def factors(self) -> tuple[FactorRef, ...]:
+        return tuple(map(self.refs.__getitem__, self.codes))
+
+    @property
+    def texts(self) -> tuple[str, ...]:
+        return tuple(map(self.words.__getitem__, self.codes))
+
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "i": self.i,
-            "j": self.j,
-            "factors": [f.to_json_dict() for f in self.factors],
-        }
+        factors = [f.to_json_dict() for f in self.factors]
+        return {"kind": self.kind, "i": self.i, "j": self.j, "factors": factors}
 
 
-# A factor pattern is a tuple of (flipped, drop) pairs: at host order i and
-# offset j, each pair stands for tm_word(i - j - drop), flipped or not.
-_Pattern = tuple[tuple[bool, int], ...]
-# Each pair's letterwise flip; patterns share these few pair objects.
-_FLIP = {(flipped, drop): (not flipped, drop) for flipped in (False, True) for drop in (0, 1)}
+# A factor pattern holds one code per factor: at host order i and offset j,
+# code 2 * drop + flipped stands for tm_word(i - j - drop), flipped or not.
+# _FLIP is the translation table of the letterwise flip.
+_FLIP = bytes.maketrans(b"\0\1\2\3", b"\1\0\3\2")
+# Letterwise codes: "a" is code 0 and "b" code 1, as for order-1 words.
+_LETTER_CODES = bytes.maketrans(b"ab", b"\0\1")
 
 
-def _splice(x: _Pattern, y: _Pattern) -> _Pattern:
-    """Join two factor patterns whose touching factors are both the flipped
-    order-(i-j) word, replacing that pair by three factors that spell the
-    same letters with the target word in the middle."""
-    if not x or not y or x[-1] != (True, 0) or y[0] != (True, 0):
-        raise ValueError("splice: touching factors are not both the flipped target")
-    return x[:-1] + ((True, 1), (False, 0), (False, 1)) + y[1:]
-
-
-def _pattern(j: int, kind: str) -> _Pattern:
-    """The factor list of the recurrence at offset j, for every host order
-    at once: lowering every order by one maps the list at offset j-1 onto
-    the list at offset j unchanged, so only the offset matters. Each step
-    keeps the same kind's list and appends the other kind's list flipped;
-    kind A splices the two halves at even offsets. Both kinds' lists are
-    built in one loop from offset 1 up, and nothing is kept between calls."""
+def _pattern(j: int, kind: str) -> bytes:
+    """The factor codes of the recurrence at offset j, for every host order
+    at once: lowering every order by one maps the codes at offset j-1 onto
+    the codes at offset j unchanged, so only the offset matters. Each step
+    keeps the same kind's codes and appends the other kind's codes flipped.
+    At even offsets kind A splices the two halves, whose touching factors
+    are both the flipped order-(i-j) word: that pair becomes three factors
+    that spell the same letters with the target word in the middle. Both
+    kinds' codes are built in one loop from offset 1 up, and nothing is
+    kept between calls."""
     if j == 0:
-        return ((False, 0),) if kind == "A" else ()
-    a = b = ((False, 0), (True, 0))
+        return b"\0" if kind == "A" else b""
+    a = b = b"\0\1"
     for k in range(2, j + 1):
-        flip_a = tuple(_FLIP[pair] for pair in a)
-        flip_b = tuple(_FLIP[pair] for pair in b)
-        a, b = (_splice(a, flip_b) if k % 2 == 0 else a + flip_b), b + flip_a
+        flip_a, flip_b = a.translate(_FLIP), b.translate(_FLIP)
+        a, b = (a[:-1] + b"\3\0\2" + flip_b[1:] if k % 2 == 0 else a + flip_b), b + flip_a
     return a if kind == "A" else b
-
-
-def _letterwise_factors(i: int, target: str) -> tuple[FactorRef, ...]:
-    """Fallback construction when the target is a single letter: one factor
-    per target letter, one factor per maximal gap run."""
-    single = {"a": tm_ref(1), "b": tm_flip_ref(1)}
-    factors: list[FactorRef] = []
-    for letter, run in groupby(tm_word(i)):
-        run = "".join(run)
-        factors += [single[letter]] * len(run) if letter == target else [single.get(run) or lit_ref(run)]
-    return tuple(factors)
 
 
 def smallest_factorization(i: int, j: int, kind: str) -> SmallestFactorization:
@@ -307,15 +304,19 @@ def smallest_factorization(i: int, j: int, kind: str) -> SmallestFactorization:
         raise ValueError(f"smallest_factorization: offset {j} out of domain for order {i}")
     if 1 < j == i - 1:
         # The pattern would need order-0 factors here; build directly from
-        # the letter positions instead.
-        factors = _letterwise_factors(i, "a" if kind == "A" else "b")
+        # the letters instead: one factor per target letter, one per gap run.
+        # Thue-Morse words hold no run of three letters, so a gap run is one
+        # letter or a doubled one, and each of the three words has one ref.
+        double = "bb" if kind == "A" else "aa"
+        refs = (tm_ref(1), tm_flip_ref(1), lit_ref(double))
+        codes = tm_word(i).encode().replace(double.encode(), b"\2").translate(_LETTER_CODES)
     else:
-        # One ref per (flipped, drop) pair, shared by all its factors.
-        refs = {
-            pair: (tm_flip_ref if pair[0] else tm_ref)(i - j - pair[1]) for pair in _FLIP if pair[1] < i - j
-        }
-        factors = tuple(map(refs.__getitem__, _pattern(j, kind)))
-    return SmallestFactorization(factors, kind, i, j)
+        # The refs in code order: the order-(i-j) word and its flip, then the
+        # order-(i-j-1) pair where that order exists.
+        orders = range(i - j, max(i - j - 2, 0), -1)
+        refs = tuple(make(order) for order in orders for make in (tm_ref, tm_flip_ref))
+        codes = _pattern(j, kind)
+    return SmallestFactorization(refs, codes, kind, i, j)
 
 
 def _target(i: int, j: int, kind: str) -> str:
@@ -335,14 +336,12 @@ def validate_smallest_factorization(
     of the target word, ``scan`` = ``target_scan(i, j, kind)``, and never
     has two adjacent non-target factors. Raises ValueError for a
     factorization of another order or one with no factors."""
-    if fac.i != i or not fac.factors:
+    if fac.i != i or not fac.codes:
         raise ValueError(f"validate_smallest_factorization: need a non-empty factorization of order {i}")
     target = _target(i, j, kind)
-    texts, starts = fac.texts, fac.starts
-    placed = {starts[k] for k, t in enumerate(texts) if t == target}
-    if placed != set(scan):
-        return False
-    return all(t1 == target or t2 == target for t1, t2 in zip(texts, texts[1:]))
+    # One byte per factor: 1 where the factor is the target word, else 0.
+    mask = fac.codes.translate(bytes(word == target for word in fac.words).ljust(256, b"\0"))
+    return set(compress(fac.starts, mask)) == set(scan) and b"\0\0" not in mask
 
 
 def factorization_basis_ok(fac: SmallestFactorization, scan: PositionSet) -> bool:
@@ -351,21 +350,21 @@ def factorization_basis_ok(fac: SmallestFactorization, scan: PositionSet) -> boo
     defined members count at the last offset, where the lower order would
     be 0). Where ``fac`` validates, the gaps are its other factors."""
     high = fac.i - fac.j
-    basis = {tm_word(high), tm_flip_word(high)}
-    if high > 1:
-        basis |= {tm_word(high - 1), tm_flip_word(high - 1)}
+    orders = range(max(high - 1, 1), high + 1)
+    basis = {""} | {make(order) for order in orders for make in (tm_word, tm_flip_word)}
     word = tm_word(fac.i)
-    starts = [p - 1 for p in scan]
-    ends = [0] + [p + len(tm_word(high)) for p in starts]
-    return all(word[end:start] in basis for end, start in zip(ends, starts + [len(word)]) if end < start)
+    # The gaps run from each occurrence's end (0 first) to the next start
+    # (the word's end last), 0-based; an empty slice is no gap.
+    ends = [0, *map((tm_length(high) - 1).__add__, scan)]
+    starts = [*map((-1).__add__, scan), len(word)]
+    return set(map(word.__getitem__, map(slice, ends, starts))) <= basis
 
 
 def factorization_boundary_ok(fac: SmallestFactorization) -> bool:
     """First factor resolves to the order-(i-j) word; last factor resolves
     to the same word at even offsets and to its flip at odd offsets."""
-    texts = fac.texts
-    if not texts:
+    if not fac.codes:
         return False
     head = tm_word(fac.i - fac.j)
     tail = head if fac.j % 2 == 0 else tm_flip_word(fac.i - fac.j)
-    return texts[0] == head and texts[-1] == tail
+    return fac.words[fac.codes[0]] == head and fac.words[fac.codes[-1]] == tail

@@ -227,8 +227,8 @@ def _sweep(family: str, claims: Callable[[int], _Claims], first: int, last: int)
 # the factorization checks, the direct scans and the indexed engine. Each
 # order costs about 1.5x (Fibonacci) or 1.8x (Thue-Morse) the one before.
 # Three runs each, in-process on a 2-vCPU x86_64 VM (Python 3.11.7, numpy
-# 2.4.6): verify_fibonacci(24) 0.34-0.35 s and verify_thue_morse(17)
-# 0.80-0.85 s, peak RSS 40.0 and 43.6 MB.
+# 2.4.6): verify_fibonacci(24) 0.35-0.36 s and verify_thue_morse(17)
+# 0.64-0.78 s, peak RSS 40.2 and 43.6 MB.
 VERIFY_FIB_MAX_ORDER = 24
 VERIFY_TM_MAX_ORDER = 17
 

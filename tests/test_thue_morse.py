@@ -329,24 +329,29 @@ def test_validate_rejects_degenerate_empty():
 
 
 def test_factorization_must_flatten_to_target():
-    fac = SmallestFactorization((tm_ref(2), tm_flip_ref(2)), "A", 3, 1)
+    fac = SmallestFactorization((tm_ref(2), tm_flip_ref(2)), b"\0\1", "A", 3, 1)
     assert "".join(fac.texts) == "abba"
     assert fac.starts == (1, 3)
     assert fac.texts == ("ab", "ba")
     with pytest.raises(ValueError):
-        SmallestFactorization((tm_ref(2),), "A", 3, 1)
+        SmallestFactorization((tm_ref(2),), b"\0", "A", 3, 1)
+
+
+def test_codes_must_index_the_refs():
+    with pytest.raises(ValueError, match="index past"):
+        SmallestFactorization((tm_ref(2), tm_flip_ref(2)), b"\0\2", "A", 3, 1)
 
 
 def test_only_kind_b_at_offset_zero_may_have_no_factors():
-    assert SmallestFactorization((), "B", 5, 0).texts == ()
+    assert SmallestFactorization((), b"", "B", 5, 0).texts == ()
     for kind, j in [("A", 0), ("A", 2), ("B", 1)]:
         with pytest.raises(ValueError):
-            SmallestFactorization((), kind, 5, j)
+            SmallestFactorization((), b"", kind, 5, j)
 
 
 def test_factors_share_at_most_four_refs():
     for i in range(2, 13):
-        for j in range(i - 1):
+        for j in range(i):
             for kind in ("A", "B"):
                 fac = smallest_factorization(i, j, kind)
                 assert len({id(f) for f in fac.factors}) <= 4, (i, j, kind)
@@ -363,17 +368,8 @@ def test_validate_rejects_adjacent_gap_factors():
     # Same letters as the letterwise factorization of (4, 3, A), but with
     # the double-letter gap split in two -- not smallest any more.
     word = tm_word(4)
-    factors = (
-        tm_ref(1),
-        lit_ref("b"),
-        lit_ref("b"),
-        tm_ref(1),
-        lit_ref("b"),
-        tm_ref(1),
-        tm_ref(1),
-        lit_ref("b"),
-    )
-    fac = SmallestFactorization(factors, "A", 4, 3)
+    refs = (tm_ref(1), lit_ref("b"))
+    fac = SmallestFactorization(refs, bytes((0, 1, 1, 0, 1, 0, 0, 1)), "A", 4, 3)
     assert "".join(fac.texts) == word
     assert not validate_smallest_factorization(4, 3, "A", fac, target_scan(4, 3, "A"))
 
@@ -381,7 +377,7 @@ def test_validate_rejects_adjacent_gap_factors():
 def test_validate_rejects_missing_target_placement():
     # Flattens correctly but hides one target occurrence inside a literal.
     word = tm_word(3)
-    fac = SmallestFactorization((tm_ref(1), lit_ref("bba")), "A", 3, 2)
+    fac = SmallestFactorization((tm_ref(1), lit_ref("bba")), b"\0\1", "A", 3, 2)
     assert "".join(fac.texts) == word
     assert not validate_smallest_factorization(3, 2, "A", fac, target_scan(3, 2, "A"))
 
@@ -463,3 +459,38 @@ def test_every_factorization_is_pinned(i):
     ]
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
     assert digest == FACTORIZATION_DIGESTS[i]
+
+
+def _factorization_record(i, j, kind):
+    """What the (i, j, kind) factorization shows: its JSON, texts and starts,
+    and each check's verdict on the direct scan, or the ValueError text
+    where a check raises one."""
+    fac = smallest_factorization(i, j, kind)
+    scan = target_scan(i, j, kind)
+    checks = {
+        "valid": lambda: validate_smallest_factorization(i, j, kind, fac, scan),
+        "basis_ok": lambda: factorization_basis_ok(fac, scan),
+        "boundary_ok": lambda: factorization_boundary_ok(fac),
+    }
+    record = {"json": fac.to_json_dict(), "texts": fac.texts, "starts": fac.starts}
+    for name, check in checks.items():
+        try:
+            record[name] = check()
+        except ValueError as exc:
+            record[name] = f"ValueError: {exc}"
+    return record
+
+
+# sha256 over the records above, one JSON line each, for 2 <= i <= 14,
+# 0 <= j <= i-1 and both kinds, recorded from the factorization type that
+# listed one FactorRef per factor.
+FACTORIZATION_RECORDS_DIGEST = "bda81dd43dfd95bbe4733c936b357b56cda9fe727601ebf4fdecefd439e66689"
+
+
+def test_every_factorization_and_check_verdict_is_pinned():
+    digest = hashlib.sha256()
+    for i in range(2, 15):
+        for j in range(i):
+            for kind in ("A", "B"):
+                digest.update(json.dumps(_factorization_record(i, j, kind), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == FACTORIZATION_RECORDS_DIGEST

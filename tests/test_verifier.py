@@ -19,7 +19,7 @@ from netoccs.verifier import (
 )
 from netoccs.onoc import greedy_onoc
 from netoccs.thue_morse import OccurrenceSets
-from netoccs.words import fib_word, flip_word, tm_flip_word, tm_word
+from netoccs.words import FactorRef, fib_word, flip_word, tm_flip_ref, tm_flip_word, tm_word
 
 FIB_CLAIMS = {
     "theta_sets_match_oracle",
@@ -292,6 +292,43 @@ def test_a_faulty_factorization_construction_fails_its_claim(monkeypatch, capsys
     assert err == ""
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
     assert failed == [f"FAIL order_{i}/smallest_factorizations_valid  witness=[[3, 'A']]" for i in (5, 6, 7)]
+
+
+def test_a_ref_resolving_to_its_flip_fails_its_factorization(monkeypatch):
+    # Code 2 of one factorization stands for the flipped order-(i-j-1) word:
+    # the factors spell another word, and only that factorization fails.
+    i, j, kind = 9, 4, "B"
+    true_type = thue_morse.SmallestFactorization
+
+    def planted(refs, codes, fac_kind, order, offset):
+        if (order, offset, fac_kind) == (i, j, kind):
+            refs = (*refs[:2], tm_flip_ref(refs[2].order), *refs[3:])
+        return true_type(refs, codes, fac_kind, order, offset)
+
+    monkeypatch.setattr(thue_morse, "SmallestFactorization", planted)
+    with pytest.raises(ValueError, match="do not spell"):
+        thue_morse.smallest_factorization(i, j, kind)
+    assert _failing(dict(verifier._tm_claims(i))) == {"smallest_factorizations_valid": [[j, kind]]}
+
+
+def test_each_factorization_resolves_each_distinct_ref_once(monkeypatch):
+    resolved, built, marks = [], [], []
+    true_resolve, true_build = FactorRef.resolve, verifier.smallest_factorization
+
+    def build(*args):
+        marks.append(len(resolved))
+        built.append(true_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(FactorRef, "resolve", lambda ref: resolved.append(ref) or true_resolve(ref))
+    monkeypatch.setattr(verifier, "smallest_factorization", build)
+    assert dict(verifier._tm_claims(14))["smallest_factorizations_valid"].passed
+    marks.append(len(resolved))
+    # Every resolve between two builds belongs to the earlier factorization.
+    per_factorization = [end - start for start, end in zip(marks, marks[1:])]
+    assert len(built) == 25
+    for fac, count in zip(built, per_factorization):
+        assert count <= len(set(fac.factors)), (fac.j, fac.kind, count)
 
 
 def test_factorization_checks_share_one_target_scan(monkeypatch):
