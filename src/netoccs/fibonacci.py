@@ -112,17 +112,17 @@ def _unique_in(text: str, sub: str) -> bool:
     return first != -1 and first == text.rfind(sub)
 
 
-def _followed_by(text: str, pattern: str, follower: str, *, require_room: bool) -> tuple[bool, int | None]:
-    """Check every occurrence of pattern is followed by follower.
+def _followed_by(
+    text: str, starts: PositionSet, length: int, follower: str, *, require_room: bool
+) -> tuple[bool, int | None]:
+    """Check every occurrence of a ``length``-letter pattern at ``starts`` is followed by follower.
 
     With require_room, an occurrence too close to the end is itself a
     failure; otherwise such occurrences are skipped. Returns (ok, witness
     position of the first violation).
     """
-    if not follower:
-        return True, None
-    for pos in find_occurrences(pattern, text):
-        tail_start = pos - 1 + len(pattern)
+    for pos in starts:
+        tail_start = pos - 1 + length
         if tail_start + len(follower) > len(text):
             if require_room:
                 return False, pos
@@ -164,6 +164,7 @@ def check_fib_lemmas(i: int) -> dict[str, ClaimResult]:
     L = fib_length
     core = fib_word(i - 2) + q_word(i)
     claims: dict[str, ClaimResult] = {}
+    scans: dict[str, PositionSet] = {}
     for name, pattern, host, expected in (
         ("square_two_occurrences", word, word + word, (1, L(i) + 1)),
         ("previous_only_at_1", fib_word(i - 1), word, (1,)),
@@ -171,13 +172,13 @@ def check_fib_lemmas(i: int) -> dict[str, ClaimResult]:
         ("third_previous_positions", fib_word(i - 3), word, (1, L(i - 3) + 1, L(i - 2) + 1, L(i - 1) + 1)),
         ("core_block_positions", core, word, (1, L(i - 2) + 1)),
     ):
-        found = find_occurrences(pattern, host)
+        scans[name] = found = find_occurrences(pattern, host)
         claims[name] = ClaimResult(found == expected, witness=list(found))
 
     # q_word(6) is not defined; the truncated suffix word degenerates to the
     # empty word there, making the follower claim vacuous at order 7.
     follower = q_word(i - 1) if i >= 8 else ""
-    ok, bad = _followed_by(word, fib_word(i - 3), follower, require_room=True)
+    ok, bad = _followed_by(word, scans["third_previous_positions"], L(i - 3), follower, require_room=True)
     claims["third_previous_follower"] = ClaimResult(ok, witness=bad)
 
     extended = fib_word(i - 3) + fib_word(i - 6) + fib_word(i - 5)
@@ -185,8 +186,8 @@ def check_fib_lemmas(i: int) -> dict[str, ClaimResult]:
     repeated = [name for name, sub in probes.items() if not _unique_in(word, sub)]
     claims["extended_block_unique"] = ClaimResult(not repeated, witness=repeated or None)
 
-    stem = fib_word(i - 3)
-    ok, bad = _followed_by(word, stem[:-1], stem[-1], require_room=False)
+    stem, last = fib_word(i - 3)[:-1], fib_word(i - 3)[-1]
+    ok, bad = _followed_by(word, find_occurrences(stem, word), len(stem), last, require_room=False)
     claims["prefix_forces_last_letter"] = ClaimResult(ok, witness=bad)
 
     # Any proper superstring of the core block contains it extended by one

@@ -10,15 +10,14 @@ end of the text counts as unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 PositionSet = tuple[int, ...]
 
 
 def shift_positions(positions: PositionSet, d: int) -> PositionSet:
     """Translate every position by d."""
-    return tuple(p + d for p in positions)
+    return tuple(map(d.__add__, positions))
 
 
 def merge_positions(*sets: PositionSet) -> PositionSet:
@@ -33,16 +32,21 @@ def intersect_positions(a: PositionSet, b: PositionSet) -> PositionSet:
     return tuple(sorted(set(a) & set(b)))
 
 
-class Step(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Step:
     """One step of a position-set recurrence: the set is the union of three
-    pieces (the last may be empty), the first two meet exactly in
-    ``overlap``, and every other pair of pieces is disjoint."""
+    pieces (the last may be empty), merged once when the step is built; the
+    first two meet exactly in ``overlap``, every other pair is disjoint."""
 
     pieces: tuple[PositionSet, PositionSet, PositionSet]
     overlap: PositionSet = ()
+    merged: PositionSet = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "merged", merge_positions(*self.pieces))
 
     def union(self) -> PositionSet:
-        return merge_positions(*self.pieces)
+        return self.merged
 
     def matches(self, scan: PositionSet) -> bool:
         """Every clause of the step holds and the union is ``scan``, a

@@ -174,7 +174,7 @@ def _tm_claims(i: int) -> _Claims:
     scans = [OccurrenceSets(target_scan(i, j, "A"), target_scan(i, j, "B")) for j in range(i - 1)]
     steps = list(ab_steps(i))
     sets = [OccurrenceSets(a_step.union(), b_step.union()) for a_step, b_step in steps]
-    a_seq, b_seq = ab_counts(i - 2)
+    a_seq, b_seq = ab_counts(i - 1)  # one past the recurrence's domain, for the top offset
     yield "occurrence_sets_match_oracle", _offset_table(range(i - 1), lambda j: sets[j] == scans[j])
     yield "recurrence_intersections", _offset_table(range(2, i - 1), lambda j: ab_step_ok(steps[j], scans[j]))
     yield "occurrence_counts_match", _offset_table(
@@ -184,7 +184,7 @@ def _tm_claims(i: int) -> _Claims:
     # One offset past its domain the count recurrence disagrees with the word,
     # by design: the sweep asserts the disagreement rather than hiding it.
     oracle_top = len(find_occurrences("a", word))
-    recurrence_top = ab_counts(i - 1)[0][i - 1]
+    recurrence_top = a_seq[i - 1]
     yield "top_offset_documented_deviation", ClaimResult(
         oracle_top != recurrence_top, witness={"oracle": oracle_top, "recurrence": recurrence_top}
     )
@@ -226,9 +226,9 @@ def _sweep(family: str, claims: Callable[[int], _Claims], first: int, last: int)
 # hundred probes per order (0.04-0.06 s at tm 17), so most of the time goes to
 # the factorization checks, the direct scans and the indexed engine. Each
 # order costs about 1.5x (Fibonacci) or 1.8x (Thue-Morse) the one before.
-# Three runs each, in-process on a 2-vCPU x86_64 VM (Python 3.11.7, numpy
-# 2.4.6): verify_fibonacci(24) 0.35-0.36 s and verify_thue_morse(17)
-# 0.64-0.78 s, peak RSS 40.2 and 43.6 MB.
+# Two sets of three runs each, in-process on a 2-vCPU x86_64 VM (Python
+# 3.11.7, numpy 2.4.6): verify_fibonacci(24) 0.31-0.33 s and
+# verify_thue_morse(17) 0.48-0.59 s, peak RSS 40.3 and 43.5 MB.
 VERIFY_FIB_MAX_ORDER = 24
 VERIFY_TM_MAX_ORDER = 17
 

@@ -152,7 +152,7 @@ def _drop_shifted(step):  # lose the smallest shifted position
 def _drop_twice_shifted(steps):  # lose the smallest twice-shifted a position
     a_step, b_step = steps
     prev, shifted, twice = a_step.pieces
-    return a_step._replace(pieces=(prev, shifted, twice[1:])), b_step
+    return dataclasses.replace(a_step, pieces=(prev, shifted, twice[1:])), b_step
 
 
 def test_theta_step_clauses_catch_a_dropped_position(monkeypatch):
@@ -192,7 +192,7 @@ def test_recurrence_intersections_catch_an_emptied_overlap(monkeypatch):
     def empty(steps):  # the sets are unchanged
         a_step, b_step = steps
         assert a_step.overlap
-        return a_step._replace(overlap=()), b_step
+        return dataclasses.replace(a_step, overlap=()), b_step
 
     _plant_step_fault(monkeypatch, thue_morse, "ab_steps", (i, j), empty)
     assert _failing(dict(verifier._tm_claims(i))) == {"recurrence_intersections": [j]}
@@ -359,6 +359,33 @@ def test_no_recurrence_state_outlives_a_call(monkeypatch):
         assert thue_morse.ab_sets(8, 4) != tm_scan
     assert fibonacci.theta_set(10, 4) == fib_scan
     assert thue_morse.ab_sets(8, 4) == tm_scan
+
+
+def test_each_union_and_repetition_scan_is_computed_once(monkeypatch):
+    steps = [*fibonacci.theta_steps(12), *(step for pair in thue_morse.ab_steps(10) for step in pair)]
+    assert all(step.union() is step.union() for step in steps)
+    true_frombuffer = thue_morse.np.frombuffer
+    encoded = []
+
+    def counting(*args, **kwargs):
+        encoded.append(args[0])
+        return true_frombuffer(*args, **kwargs)
+
+    monkeypatch.setattr(thue_morse.np, "frombuffer", counting)
+    claims = thue_morse.check_tm_identities(12)
+    assert claims["overlap_free"].passed and claims["cube_free"].passed
+    assert encoded == [tm_word(12).encode()]
+
+
+@pytest.mark.parametrize("planted, verdicts", [("overlap_free", (False, True)), ("cube_free", (True, False))])
+def test_repetition_claims_catch_a_planted_repetition(planted, verdicts, monkeypatch):
+    i = 7
+    true_scan = thue_morse.repetition_free
+    # the one-pass check reports an overlap, or a cube, in tm_word(i) only
+    monkeypatch.setattr(
+        thue_morse, "repetition_free", lambda text: verdicts if text == tm_word(i) else true_scan(text)
+    )
+    assert _failing(verify_thue_morse(8).claims) == {f"order_{i}/identities": {planted: None}}
 
 
 def test_folded_claims_keep_each_failing_witness(monkeypatch):
