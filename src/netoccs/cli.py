@@ -11,7 +11,7 @@ import json
 import sys
 
 from .netfreq import net_occurrences_bruteforce, net_occurrences_indexed
-from .occurrences import Occurrence, find_occurrences
+from .occurrences import Occurrence
 from .onoc import prove_completeness
 from .thue_morse import (
     ab_sets,
@@ -19,9 +19,10 @@ from .thue_morse import (
     factorization_boundary_ok,
     smallest_factorization,
     target_scan,
+    target_scans,
     validate_smallest_factorization,
 )
-from .fibonacci import theta_set
+from .fibonacci import theta_scans, theta_set
 from .verifier import verify_fibonacci, verify_onoc_lemma_random, verify_thue_morse
 from .words import fib_word, flip_word, read_word_file, tm_word
 
@@ -129,10 +130,10 @@ def _cmd_occ_sets(args) -> int:
     # One (label, recurrence, direct scan) row per position set: the θ set,
     # or the a and b sets of a Thue-Morse target and its flip.
     if args.family == "fib":
-        rows = [("", theta_set(i, j), find_occurrences(fib_word(i - j), fib_word(i)))]
+        rows = [("", theta_set(i, j), theta_scans(i)[j])]
     else:
-        sets = ab_sets(i, j)
-        rows = [("a", sets.a_set, target_scan(i, j, "A")), ("b", sets.b_set, target_scan(i, j, "B"))]
+        sets, scans = ab_sets(i, j), target_scans(i)[j]
+        rows = [("a", sets.a_set, scans.a_set), ("b", sets.b_set, scans.b_set)]
     equal = all(recurrence == oracle for _, recurrence, oracle in rows)
     payload = {"family": args.family, "order": i, "j": j}
     text_lines = []
@@ -265,6 +266,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if [] in vars(args).values():  # Python 3.11 parses "--opt=--" as an empty list
+            raise ValueError("an option's value cannot be '--'")
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

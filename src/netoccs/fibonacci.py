@@ -19,6 +19,7 @@ from itertools import islice
 from typing import Iterator
 
 from .occurrences import Occurrence, PositionSet, Step, find_occurrences, shift_positions
+from .occurrences import mask_positions, occurrence_masks
 from .reports import ClaimResult, same_word
 from .words import FIB_MAX_ORDER, delta, fib_length, fib_length_ext, fib_word, q_word
 
@@ -56,6 +57,16 @@ def theta_set(i: int, j: int) -> PositionSet:
     the union of the recurrence step at offset j, built from offset 0 up."""
     _check_theta_domain(i, j)
     return next(islice(theta_steps(i), j, None)).union()
+
+
+def theta_scans(i: int) -> tuple[PositionSet, ...]:
+    """Direct scans: the 1-based starts of fib_word(i-j) in fib_word(i) for
+    j = 0..i-1, read from one mask table built by fib_k = fib_{k-1} fib_{k-2}."""
+    if not 3 <= i <= FIB_MAX_ORDER:
+        raise ValueError(f"theta_scans: order {i} not in 3..{FIB_MAX_ORDER}")
+    splits = ((fib_word(k), fib_word(k - 1), fib_word(k - 2)) for k in range(3, i + 1))
+    masks = occurrence_masks(fib_word(i), splits)
+    return tuple(mask_positions(masks[fib_word(i - j)]) for j in range(i))
 
 
 def theta_max_position(i: int, j: int) -> int:

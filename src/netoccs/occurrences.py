@@ -1,6 +1,6 @@
 """Occurrences in a text: position sets and the recurrence ``Step`` over
-them, the occurrence interval, a direct scan for all starting positions,
-the repeat probe and the net-occurrence predicate.
+them, the occurrence interval, direct scans for all starting positions, the
+repeat probe and the net-occurrence predicate.
 
 An occurrence is a 1-based inclusive interval (start, end) of a text. It is a
 net occurrence when the covered substring is repeated in the text while both
@@ -11,6 +11,9 @@ end of the text counts as unique.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
+
+import numpy as np
 
 PositionSet = tuple[int, ...]
 
@@ -22,14 +25,7 @@ def shift_positions(positions: PositionSet, d: int) -> PositionSet:
 
 def merge_positions(*sets: PositionSet) -> PositionSet:
     """Exact set union, returned strictly increasing."""
-    out: set[int] = set()
-    for s in sets:
-        out.update(s)
-    return tuple(sorted(out))
-
-
-def intersect_positions(a: PositionSet, b: PositionSet) -> PositionSet:
-    return tuple(sorted(set(a) & set(b)))
+    return tuple(sorted(set().union(*sets)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,13 +47,9 @@ class Step:
     def matches(self, scan: PositionSet) -> bool:
         """Every clause of the step holds and the union is ``scan``, a
         direct scan of the set."""
-        first, second, third = self.pieces
-        return (
-            self.union() == scan
-            and intersect_positions(first, second) == self.overlap
-            and not intersect_positions(first, third)
-            and not intersect_positions(second, third)
-        )
+        first, second, third = map(set, self.pieces)
+        disjoint = third.isdisjoint(first) and third.isdisjoint(second)
+        return self.union() == scan and tuple(sorted(first & second)) == self.overlap and disjoint
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -74,7 +66,8 @@ class Occurrence:
 
 def find_occurrences(pattern: str, text: str) -> PositionSet:
     """All 1-based starting positions of the pattern in the text, including
-    overlapping ones, in increasing order. Direct-scan oracle."""
+    overlapping ones, in increasing order. Direct-scan oracle for arbitrary
+    patterns, such as the Fibonacci lemmas' core block."""
     if not pattern:
         raise ValueError("find_occurrences: empty pattern")
     out = []
@@ -83,6 +76,26 @@ def find_occurrences(pattern: str, text: str) -> PositionSet:
         out.append(pos + 1)
         pos = text.find(pattern, pos + 1)
     return tuple(out)
+
+
+def occurrence_masks(text: str, splits: Iterable[tuple[str, str, str]]) -> dict[str, np.ndarray]:
+    """Start masks of words in the text (``masks[w][p]``: w starts at 0-based p): its letters, then
+    each split (word, left, right) in turn from two masks already in the table, by
+    occ(left + right) = occ(left) ∩ (occ(right) - |left|), which holds for any strings. Raises
+    ValueError for a split that does not spell its word."""
+    arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    masks = {letter: arr == ord(letter) for letter in set(text)}
+    for word, left, right in splits:
+        if len(word) != len(left) + len(right) or not (word.startswith(left) and word.endswith(right)):
+            raise ValueError(f"occurrence_masks: {left!r} + {right!r} does not spell {word!r}")
+        shifted = masks[right][len(left) :]
+        masks[word] = masks[left] & np.append(shifted, np.zeros(arr.size - shifted.size, bool))
+    return masks
+
+
+def mask_positions(mask: np.ndarray) -> PositionSet:
+    """The 1-based positions where a start mask is set."""
+    return tuple((np.flatnonzero(mask) + 1).tolist())
 
 
 def occurs_elsewhere(text: str, s0: int, m: int) -> bool:

@@ -22,14 +22,15 @@ Four groups of machine-checkable facts about tm_word(i):
   factors through the codes.
 
 ab_sets deliberately stops at offset i-2: one step further the recurrence
-would shift by the length of an order-0 word, which does not exist, and
-the counts stop matching a direct scan. Callers wanting single-letter
-occurrence sets should scan the word directly.
+would shift by the length of an order-0 word, which does not exist. The
+checks read the direct scans from one table per host order, target_scans,
+which holds every offset down to the single letters at i-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, compress, islice
 from typing import Iterator
 
@@ -39,14 +40,16 @@ from .occurrences import (
     Occurrence,
     PositionSet,
     Step,
-    find_occurrences,
+    mask_positions,
     merge_positions,
+    occurrence_masks,
     shift_positions,
 )
 from .reports import ClaimResult, same_word
 from .words import (
     TM_MAX_ORDER,
     FactorRef,
+    flip_word,
     lit_ref,
     tm_flip_ref,
     tm_flip_word,
@@ -58,11 +61,12 @@ from .words import (
 
 @dataclass(frozen=True)
 class OccurrenceSets:
-    """Starting positions of a word (a_set) and its flip (b_set) inside a
-    fixed host word."""
+    """Starting positions of a word (a_set) and its flip (b_set) inside a fixed host word; a
+    direct scan's ``either`` has one byte per 0-based host position, 1 where either starts."""
 
     a_set: PositionSet
     b_set: PositionSet
+    either: bytes = field(default=b"", compare=False, repr=False)
 
 
 def _check_ab_domain(i: int, j: int) -> None:
@@ -323,14 +327,31 @@ def smallest_factorization(i: int, j: int, kind: str) -> SmallestFactorization:
     return SmallestFactorization(refs, codes, kind, i, j)
 
 
-def _target(i: int, j: int, kind: str) -> str:
-    """The (i, j, kind) target word: tm_word(i-j) for kind A, its flip for B."""
-    return (tm_word if kind == "A" else tm_flip_word)(i - j)
+def _scan_table(i: int) -> tuple[OccurrenceSets, ...]:
+    """Direct scans of tm_word(i-j) and its flip in tm_word(i), j = 0..i-1, from one mask table
+    built by tm_k = tm_{k-1} flip_{k-1} and flip_k = flip_{k-1} tm_{k-1}. The flips are made
+    here with flip_word, so the scans do not read tm_flip_word, which the checks use."""
+    if not 2 <= i <= TM_MAX_ORDER:
+        raise ValueError(f"target_scans: order {i} not in 2..{TM_MAX_ORDER}")
+    pairs = [(word, flip_word(word)) for word in map(tm_word, range(1, i + 1))]
+    splits = [split for (a, b), (x, y) in zip(pairs[1:], pairs) for split in ((a, x, y), (b, y, x))]
+    masks = occurrence_masks(tm_word(i), splits)
+    return tuple(
+        OccurrenceSets(mask_positions(masks[a]), mask_positions(masks[b]), (masks[a] | masks[b]).tobytes())
+        for a, b in reversed(pairs)
+    )
+
+
+# The sweep and the basis check read the last order's table here; a lone target_scan keeps none.
+target_scans = lru_cache(maxsize=1)(_scan_table)
 
 
 def target_scan(i: int, j: int, kind: str) -> PositionSet:
     """Direct scan: the 1-based starts of the (i, j, kind) target in tm_word(i)."""
-    return find_occurrences(_target(i, j, kind), tm_word(i))
+    if not 0 <= j < i:
+        raise ValueError(f"target_scan: offset {j} out of domain for order {i}")
+    scans = _scan_table(i)[j]
+    return scans.a_set if kind == "A" else scans.b_set
 
 
 def validate_smallest_factorization(
@@ -342,7 +363,7 @@ def validate_smallest_factorization(
     factorization of another order or one with no factors."""
     if fac.i != i or not fac.codes:
         raise ValueError(f"validate_smallest_factorization: need a non-empty factorization of order {i}")
-    target = _target(i, j, kind)
+    target = (tm_word if kind == "A" else tm_flip_word)(i - j)
     # One byte per factor: 1 where the factor is the target word, else 0.
     mask = fac.codes.translate(bytes(word == target for word in fac.words).ljust(256, b"\0"))
     return set(compress(fac.starts, mask)) == set(scan) and b"\0\0" not in mask
@@ -354,14 +375,19 @@ def factorization_basis_ok(fac: SmallestFactorization, scan: PositionSet) -> boo
     defined members count at the last offset, where the lower order would
     be 0). Where ``fac`` validates, the gaps are its other factors."""
     high = fac.i - fac.j
-    orders = range(max(high - 1, 1), high + 1)
-    basis = {""} | {make(order) for order in orders for make in (tm_word, tm_flip_word)}
-    word = tm_word(fac.i)
+    scans = target_scans(fac.i)
     # The gaps run from each occurrence's end (0 first) to the next start
-    # (the word's end last), 0-based; an empty slice is no gap.
-    ends = [0, *map((tm_length(high) - 1).__add__, scan)]
-    starts = [*map((-1).__add__, scan), len(word)]
-    return set(map(word.__getitem__, map(slice, ends, starts))) <= basis
+    # (the word's end last), 0-based; a gap of length 0 or less is no gap.
+    starts = np.fromiter(scan, np.int64, len(scan))
+    ends = np.append(0, starts + (tm_length(high) - 1))
+    lengths = np.append(starts - 1, tm_length(fac.i)) - ends
+    ok = lengths <= 0
+    for d in range(min(2, high)):  # a gap of a basis length is a basis word iff one starts there
+        hit = lengths == tm_length(high - d)
+        if not np.frombuffer(scans[fac.j + d].either, bool)[ends[hit]].all():
+            return False
+        ok |= hit
+    return bool(ok.all())
 
 
 def factorization_boundary_ok(fac: SmallestFactorization) -> bool:

@@ -32,11 +32,12 @@ from .fibonacci import (
     check_fib_lemmas,
     predicted_fib_net_occurrences,
     theta_count,
+    theta_scans,
     theta_step_ok,
     theta_steps,
 )
 from .netfreq import NetOccurrenceRecord, net_occurrences_bruteforce, net_occurrences_indexed
-from .occurrences import Occurrence, PositionSet, find_occurrences
+from .occurrences import Occurrence, PositionSet
 from .onoc import bnso_set, bridging, greedy_onoc, prove_completeness, widen
 from .reports import ClaimResult
 from .thue_morse import (
@@ -49,7 +50,7 @@ from .thue_morse import (
     factorization_boundary_ok,
     predicted_tm_net_occurrences,
     smallest_factorization,
-    target_scan,
+    target_scans,
     validate_smallest_factorization,
 )
 from .words import fib_word, tm_word
@@ -144,7 +145,7 @@ def _engines_agree(word: str, records: list[NetOccurrenceRecord]) -> tuple[str, 
 
 def _fib_claims(i: int) -> _Claims:
     word = fib_word(i)
-    scans = [find_occurrences(fib_word(i - j), word) for j in range(i)]
+    scans = theta_scans(i)
     steps = list(theta_steps(i))
     yield "theta_sets_match_oracle", _offset_table(range(i - 3), lambda j: steps[j].union() == scans[j])
     yield "theta_step_clauses", _offset_table(range(i - 3), lambda j: theta_step_ok(i, j, steps[j], scans[j]))
@@ -168,10 +169,10 @@ def _factorization_ok(i: int, j: int, kind: str, scan: PositionSet) -> bool:
 
 def _tm_claims(i: int) -> _Claims:
     word = tm_word(i)
-    # One direct scan of tm_word(i-j) and its flip per offset, read by the
-    # recurrence steps (built in one pass) and the smallest factorizations;
-    # the steps' sizes are checked against the counts.
-    scans = [OccurrenceSets(target_scan(i, j, "A"), target_scan(i, j, "B")) for j in range(i - 1)]
+    # The order's one table of direct scans of tm_word(i-j) and its flip, read
+    # by the recurrence steps (built in one pass) and the smallest
+    # factorizations; the steps' sizes are checked against the counts.
+    scans = target_scans(i)
     steps = list(ab_steps(i))
     sets = [OccurrenceSets(a_step.union(), b_step.union()) for a_step, b_step in steps]
     a_seq, b_seq = ab_counts(i - 1)  # one past the recurrence's domain, for the top offset
@@ -183,7 +184,7 @@ def _tm_claims(i: int) -> _Claims:
     del steps, sets  # before the order's heavier claims run
     # One offset past its domain the count recurrence disagrees with the word,
     # by design: the sweep asserts the disagreement rather than hiding it.
-    oracle_top = len(find_occurrences("a", word))
+    oracle_top = word.count("a")
     recurrence_top = a_seq[i - 1]
     yield "top_offset_documented_deviation", ClaimResult(
         oracle_top != recurrence_top, witness={"oracle": oracle_top, "recurrence": recurrence_top}
@@ -199,6 +200,7 @@ def _tm_claims(i: int) -> _Claims:
 
     yield "smallest_factorizations_valid", _offset_table(factorizations, factorization_ok)
     del scans
+    target_scans.cache_clear()  # free the order's table before the indexed engine runs
     yield _engines_agree(word, records)
 
 
@@ -224,11 +226,12 @@ def _sweep(family: str, claims: Callable[[int], _Claims], first: int, last: int)
 
 # The largest orders a sweep accepts. On these words the oracle makes a few
 # hundred probes per order (0.04-0.06 s at tm 17), so most of the time goes to
-# the factorization checks, the direct scans and the indexed engine. Each
-# order costs about 1.5x (Fibonacci) or 1.8x (Thue-Morse) the one before.
-# Two sets of three runs each, in-process on a 2-vCPU x86_64 VM (Python
-# 3.11.7, numpy 2.4.6): verify_fibonacci(24) 0.31-0.33 s and
-# verify_thue_morse(17) 0.48-0.59 s, peak RSS 40.3 and 43.5 MB.
+# the factorization checks and the indexed engine; the direct scans come from
+# one mask table per order. Each order costs about 1.5x (Fibonacci) or 1.8x
+# (Thue-Morse) the one before. Three runs each, one per fresh process on a
+# 2-vCPU x86_64 VM (Python 3.11.7, numpy 2.4.6): verify_fibonacci(24)
+# 0.15-0.19 s and verify_thue_morse(17) 0.30-0.34 s, peak RSS (VmHWM)
+# 40.5-40.6 MB and 44.6 MB.
 VERIFY_FIB_MAX_ORDER = 24
 VERIFY_TM_MAX_ORDER = 17
 

@@ -10,6 +10,7 @@ from netoccs.fibonacci import (
     predicted_fib_net_occurrences,
     theta_count,
     theta_max_position,
+    theta_scans,
     theta_set,
     theta_step_ok,
     theta_steps,
@@ -32,6 +33,17 @@ def test_theta_set_frozen_values():
     assert theta_set(7, 2) == (1, 6, 9)
     assert theta_set(7, 3) == (1, 4, 6, 9)
     assert theta_set(10, 4) == oracle_theta(10, 4)
+
+
+@pytest.mark.parametrize("i", range(3, 25))
+def test_theta_scans_are_the_direct_scans(i):
+    assert theta_scans(i) == tuple(oracle_theta(i, j) for j in range(i))
+
+
+def test_theta_scans_domain_errors():
+    for i in (-1, 0, 1, 2, FIB_MAX_ORDER + 1):
+        with pytest.raises(ValueError):
+            theta_scans(i)
 
 
 def test_theta_set_domain_errors():

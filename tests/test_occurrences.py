@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import random
 
 import pytest
 
@@ -7,9 +8,10 @@ from netoccs.occurrences import (
     Occurrence,
     Step,
     find_occurrences,
-    intersect_positions,
     is_net_occurrence,
+    mask_positions,
     merge_positions,
+    occurrence_masks,
     shift_positions,
 )
 
@@ -19,7 +21,6 @@ import reference
 def test_position_set_helpers():
     assert shift_positions((1, 4, 9), 5) == (6, 9, 14)
     assert merge_positions((1, 3), (3, 7), (2,)) == (1, 2, 3, 7)
-    assert intersect_positions((1, 3, 5), (3, 4, 5)) == (3, 5)
 
 
 def test_step_refuses_each_clause_on_its_own():
@@ -75,6 +76,30 @@ def test_find_occurrences_overlapping():
 )
 def test_find_occurrences_matches_reference(pattern, text):
     assert list(find_occurrences(pattern, text)) == reference.occurrences(pattern, text)
+
+
+def test_occurrence_masks_match_find_occurrences_on_random_splits():
+    # Words of any length, each spelled by two words already in the table,
+    # some longer than the text or absent from it.
+    rng = random.Random(7)
+    for _ in range(200):
+        text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 40)))
+        words = sorted(set(text))
+        splits = []
+        for _ in range(rng.randint(1, 12)):
+            left, right = rng.choice(words), rng.choice(words)
+            splits.append((left + right, left, right))
+            words.append(left + right)
+        masks = occurrence_masks(text, splits)
+        for word in words:
+            assert masks[word].shape == (len(text),)
+            assert mask_positions(masks[word]) == find_occurrences(word, text), (text, word)
+
+
+def test_occurrence_masks_refuse_a_split_that_does_not_spell_its_word():
+    for word, left, right in [("ab", "b", "a"), ("aba", "a", "b"), ("ab", "a", "ab"), ("abab", "ab", "ba")]:
+        with pytest.raises(ValueError, match="does not spell"):
+            occurrence_masks("abab", [("ab", "a", "b"), ("ba", "b", "a"), (word, left, right)])
 
 
 def test_is_net_occurrence_basic():

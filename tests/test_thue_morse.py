@@ -410,15 +410,36 @@ def test_basis_failures_are_exactly_the_double_letter_gap_cases():
     assert failures == EXPECTED_BASIS_FAILURES
 
 
-def test_factorization_basis_reads_the_gaps_from_a_direct_scan(monkeypatch):
+@pytest.mark.parametrize("i", range(2, 18))
+def test_target_scans_are_the_direct_scans(i):
+    word = tm_word(i)
+    scans = thue_morse.target_scans(i)
+    assert len(scans) == i
+    for j, sets in enumerate(scans):
+        either = bytearray(len(word))
+        for target, found in ((tm_word(i - j), sets.a_set), (tm_flip_word(i - j), sets.b_set)):
+            assert found == find_occurrences(target, word), j
+            for p in found:
+                either[p - 1] = 1
+        assert sets.either == either, j
+    if i <= 8:
+        for j, kind in product(range(i), "AB"):
+            assert target_scan(i, j, kind) == (scans[j].a_set if kind == "A" else scans[j].b_set)
+
+
+def test_target_scan_domain_errors():
+    for i, j in [(1, 0), (5, -1), (5, 5), (TM_MAX_ORDER + 1, 0)]:
+        with pytest.raises(ValueError):
+            target_scan(i, j, "A")
+
+
+def test_factorization_basis_reads_the_gaps_from_a_direct_scan():
     """Below the top offset every factor is built from a basis word, so the
     check must read the gaps from the word itself: with one occurrence of
     the target lost from the scan, the gap around it is no basis word."""
     fac = smallest_factorization(8, 4, "A")
     assert factorization_basis_ok(fac, target_scan(8, 4, "A"))
-    true_scan = thue_morse.find_occurrences
-    monkeypatch.setattr(thue_morse, "find_occurrences", lambda pattern, text: true_scan(pattern, text)[:-1])
-    assert not factorization_basis_ok(fac, target_scan(8, 4, "A"))
+    assert not factorization_basis_ok(fac, target_scan(8, 4, "A")[:-1])
 
 
 def test_factorization_json_shape():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 import subprocess
 import sys
@@ -199,18 +200,21 @@ def test_recurrence_intersections_catch_an_emptied_overlap(monkeypatch):
 
 
 def test_target_scan_is_the_one_thue_morse_scan(monkeypatch):
-    # A fault in target_scan reaches the sweep and occ-sets: neither scans a
+    # A fault in target_scans reaches the sweep and occ-sets: neither scans a
     # Thue-Morse target by itself.
     i, j = 8, 4
-    true_scan = thue_morse.target_scan
+    true_scans = thue_morse.target_scans
 
-    def faulty(order, offset, kind):  # lose the last position of one target
-        scan = true_scan(order, offset, kind)
-        return scan[:-1] if (order, offset, kind) == (i, j, "A") else scan
+    @functools.lru_cache(maxsize=1)  # cached like target_scans, which the sweep clears
+    def faulty(order):  # lose the last position of one target
+        scans = list(true_scans(order))
+        if order == i:
+            scans[j] = dataclasses.replace(scans[j], a_set=scans[j].a_set[:-1])
+        return tuple(scans)
 
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("netoccs") and getattr(module, "target_scan", None) is true_scan:
-            monkeypatch.setattr(module, "target_scan", faulty)
+        if module.__name__.startswith("netoccs") and getattr(module, "target_scans", None) is true_scans:
+            monkeypatch.setattr(module, "target_scans", faulty)
     claim = dict(verifier._tm_claims(i))["occurrence_sets_match_oracle"]
     assert not claim.passed and claim.witness == [j]
     assert cli.run(["occ-sets", "tm", "--order", str(i), "--j", str(j)]) == 1
@@ -332,21 +336,22 @@ def test_each_factorization_resolves_each_distinct_ref_once(monkeypatch):
 
 
 def test_factorization_checks_share_one_target_scan(monkeypatch):
-    # One order's stream scans each target, tm_word(i-j) and its flip, once
-    # in tm_word(i): the occurrence-set claims, validate_smallest_factorization
-    # and factorization_basis_ok all read that scan.
-    scanned = []
-    true_scan = find_occurrences
-    for module in (verifier, thue_morse):
-        monkeypatch.setattr(module, "find_occurrences", lambda p, t: scanned.append((p, t)) or true_scan(p, t))
-    claims = dict(verifier._tm_claims(10))
-    assert claims["smallest_factorizations_valid"].passed
-    targets = [(w(10 - j), tm_word(10)) for j in range(9) for w in (tm_word, tm_flip_word)]
-    assert sorted(scan for scan in scanned if scan in targets) == sorted(targets)
-    for j, kind in [(0, "A"), (3, "A"), (3, "B"), (8, "B")]:
-        scanned.clear()
-        assert verifier._factorization_ok(10, j, kind, thue_morse.target_scan(10, j, kind))
-        assert scanned == [((tm_word if kind == "A" else tm_flip_word)(10 - j), tm_word(10))]
+    # The sweep builds one table of direct scans per order, of tm_word(i-j)
+    # and its flip in tm_word(i): the occurrence-set claims,
+    # validate_smallest_factorization and factorization_basis_ok all read it.
+    built = []
+    true_build = thue_morse.occurrence_masks
+    monkeypatch.setattr(
+        thue_morse, "occurrence_masks", lambda text, splits: built.append(text) or true_build(text, splits)
+    )
+    thue_morse.target_scans.cache_clear()
+    assert verify_thue_morse(9).all_passed()
+    assert built == [tm_word(i) for i in range(5, 10)]
+    for j, kind in [(0, "A"), (3, "A"), (3, "B"), (7, "B")]:
+        scan = thue_morse.target_scans(9)[j]
+        built.clear()
+        assert verifier._factorization_ok(9, j, kind, scan.a_set if kind == "A" else scan.b_set)
+        assert built == []
 
 
 def test_no_recurrence_state_outlives_a_call(monkeypatch):
