@@ -11,14 +11,13 @@ import json
 import sys
 
 from .netfreq import net_occurrences_bruteforce, net_occurrences_indexed
-from .occurrences import Occurrence
+from .occurrences import Occurrence, mask_positions
 from .onoc import prove_completeness
 from .thue_morse import (
     ab_sets,
     factorization_basis_ok,
     factorization_boundary_ok,
     smallest_factorization,
-    target_scan,
     target_scans,
     validate_smallest_factorization,
 )
@@ -130,10 +129,10 @@ def _cmd_occ_sets(args) -> int:
     # One (label, recurrence, direct scan) row per position set: the θ set,
     # or the a and b sets of a Thue-Morse target and its flip.
     if args.family == "fib":
-        rows = [("", theta_set(i, j), theta_scans(i)[j])]
+        rows = [("", theta_set(i, j), theta_scans(i, range(j, j + 1))[j])]
     else:
-        sets, scans = ab_sets(i, j), target_scans(i)[j]
-        rows = [("a", sets.a_set, scans.a_set), ("b", sets.b_set, scans.b_set)]
+        sets, (a_mask, b_mask) = ab_sets(i, j), target_scans(i, range(j, j + 1))[j]
+        rows = [("a", sets.a_set, mask_positions(a_mask)), ("b", sets.b_set, mask_positions(b_mask))]
     equal = all(recurrence == oracle for _, recurrence, oracle in rows)
     payload = {"family": args.family, "order": i, "j": j}
     text_lines = []
@@ -163,9 +162,10 @@ def _cmd_factorize(args) -> int:
         text_out = "(empty factorization: the target never occurs)"
     else:
         payload = fac.to_json_dict()
-        scan = target_scan(args.order, args.j, args.kind)
+        table = target_scans(args.order, range(args.j, min(args.j + 2, args.order)))
+        scan = mask_positions(table[args.j]["AB".index(args.kind)])
         payload["valid"] = validate_smallest_factorization(args.order, args.j, args.kind, fac, scan)
-        payload["basis_ok"] = factorization_basis_ok(fac, scan)
+        payload["basis_ok"] = factorization_basis_ok(fac, scan, table)
         payload["boundary_ok"] = factorization_boundary_ok(fac)
         flags = " ".join(
             f"{k}={str(payload[k]).lower()}" for k in ("valid", "basis_ok", "boundary_ok")
@@ -266,8 +266,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if [] in vars(args).values():  # Python 3.11 parses "--opt=--" as an empty list
-            raise ValueError("an option's value cannot be '--'")
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

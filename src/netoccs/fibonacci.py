@@ -59,14 +59,14 @@ def theta_set(i: int, j: int) -> PositionSet:
     return next(islice(theta_steps(i), j, None)).union()
 
 
-def theta_scans(i: int) -> tuple[PositionSet, ...]:
-    """Direct scans: the 1-based starts of fib_word(i-j) in fib_word(i) for
-    j = 0..i-1, read from one mask table built by fib_k = fib_{k-1} fib_{k-2}."""
-    if not 3 <= i <= FIB_MAX_ORDER:
-        raise ValueError(f"theta_scans: order {i} not in 3..{FIB_MAX_ORDER}")
-    splits = ((fib_word(k), fib_word(k - 1), fib_word(k - 2)) for k in range(3, i + 1))
-    masks = occurrence_masks(fib_word(i), splits)
-    return tuple(mask_positions(masks[fib_word(i - j)]) for j in range(i))
+def theta_scans(i: int, offsets: range) -> dict[int, PositionSet]:
+    """Direct scans: the 1-based starts of fib_word(i-j) in fib_word(i) for the offsets j in
+    ``offsets``, from one mask table built by fib_k = fib_{k-1} fib_{k-2} up to the longest."""
+    if not (3 <= i <= FIB_MAX_ORDER and 0 <= offsets.start < offsets.stop <= i):
+        raise ValueError(f"theta_scans: order {i} not in 3..{FIB_MAX_ORDER} or {offsets} not in 0..{i - 1}")
+    splits = [(fib_word(k), fib_word(k - 1), fib_word(k - 2)) for k in range(3, i - offsets.start + 1)]
+    masks = occurrence_masks(fib_word(i), splits, {fib_word(i - j) for j in offsets})
+    return {j: mask_positions(masks[fib_word(i - j)]) for j in offsets}
 
 
 def theta_max_position(i: int, j: int) -> int:

@@ -11,7 +11,6 @@ end of the text counts as unique.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -78,19 +77,25 @@ def find_occurrences(pattern: str, text: str) -> PositionSet:
     return tuple(out)
 
 
-def occurrence_masks(text: str, splits: Iterable[tuple[str, str, str]]) -> dict[str, np.ndarray]:
-    """Start masks of words in the text (``masks[w][p]``: w starts at 0-based p): its letters, then
-    each split (word, left, right) in turn from two masks already in the table, by
-    occ(left + right) = occ(left) ∩ (occ(right) - |left|), which holds for any strings. Raises
+def occurrence_masks(text: str, splits: list[tuple[str, str, str]], keep: set[str]) -> dict[str, np.ndarray]:
+    """Start masks of the words in ``keep`` (``masks[w][p]``: w starts in the text at 0-based p).
+    Single letters are masked directly; each split (word, left, right) in turn is built from two
+    masks already in the table by occ(left + right) = occ(left) ∩ (occ(right) - |left|), which holds
+    for any strings. A mask not kept is dropped after the last split that reads it. Raises
     ValueError for a split that does not spell its word."""
-    arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    masks = {letter: arr == ord(letter) for letter in set(text)}
-    for word, left, right in splits:
+    last_read = {part: n for n, split in enumerate(splits) for part in split[1:]}
+    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    masks = {word: codes == ord(word) for word in {*keep, *last_read} if len(word) == 1}
+    for n, (word, left, right) in enumerate(splits):
         if len(word) != len(left) + len(right) or not (word.startswith(left) and word.endswith(right)):
             raise ValueError(f"occurrence_masks: {left!r} + {right!r} does not spell {word!r}")
-        shifted = masks[right][len(left) :]
-        masks[word] = masks[left] & np.append(shifted, np.zeros(arr.size - shifted.size, bool))
-    return masks
+        span = max(codes.size - len(left), 0)
+        masks[word] = np.zeros(codes.size, bool)
+        np.logical_and(masks[left][:span], masks[right][len(left) :], out=masks[word][:span])
+        for part in {left, right} - keep:
+            if last_read[part] == n:  # no later split reads it
+                del masks[part]
+    return {word: masks[word] for word in keep}
 
 
 def mask_positions(mask: np.ndarray) -> PositionSet:

@@ -23,14 +23,13 @@ Four groups of machine-checkable facts about tm_word(i):
 
 ab_sets deliberately stops at offset i-2: one step further the recurrence
 would shift by the length of an order-0 word, which does not exist. The
-checks read the direct scans from one table per host order, target_scans,
-which holds every offset down to the single letters at i-1.
+direct scans come from target_scans, start masks of the targets built up
+to the longest one asked for; its offsets run to the letters at i-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate, compress, islice
 from typing import Iterator
 
@@ -61,12 +60,11 @@ from .words import (
 
 @dataclass(frozen=True)
 class OccurrenceSets:
-    """Starting positions of a word (a_set) and its flip (b_set) inside a fixed host word; a
-    direct scan's ``either`` has one byte per 0-based host position, 1 where either starts."""
+    """Starting positions of a word (a_set) and its flip (b_set) inside a
+    fixed host word."""
 
     a_set: PositionSet
     b_set: PositionSet
-    either: bytes = field(default=b"", compare=False, repr=False)
 
 
 def _check_ab_domain(i: int, j: int) -> None:
@@ -327,31 +325,21 @@ def smallest_factorization(i: int, j: int, kind: str) -> SmallestFactorization:
     return SmallestFactorization(refs, codes, kind, i, j)
 
 
-def _scan_table(i: int) -> tuple[OccurrenceSets, ...]:
-    """Direct scans of tm_word(i-j) and its flip in tm_word(i), j = 0..i-1, from one mask table
-    built by tm_k = tm_{k-1} flip_{k-1} and flip_k = flip_{k-1} tm_{k-1}. The flips are made
-    here with flip_word, so the scans do not read tm_flip_word, which the checks use."""
-    if not 2 <= i <= TM_MAX_ORDER:
-        raise ValueError(f"target_scans: order {i} not in 2..{TM_MAX_ORDER}")
-    pairs = [(word, flip_word(word)) for word in map(tm_word, range(1, i + 1))]
+def target_scans(i: int, offsets: range) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Start masks of tm_word(i-j) and its flip in tm_word(i) for the offsets j in ``offsets``, built
+    by tm_k = tm_{k-1} flip_{k-1} and flip_k = flip_{k-1} tm_{k-1} up to the longest. The flips are
+    made with flip_word, so the scans do not read tm_flip_word, which the checks use."""
+    if not (2 <= i <= TM_MAX_ORDER and 0 <= offsets.start < offsets.stop <= i):
+        raise ValueError(f"target_scans: order {i} not in 2..{TM_MAX_ORDER} or {offsets} not in 0..{i - 1}")
+    pairs = [(word, flip_word(word)) for word in map(tm_word, range(1, i - offsets.start + 1))]
     splits = [split for (a, b), (x, y) in zip(pairs[1:], pairs) for split in ((a, x, y), (b, y, x))]
-    masks = occurrence_masks(tm_word(i), splits)
-    return tuple(
-        OccurrenceSets(mask_positions(masks[a]), mask_positions(masks[b]), (masks[a] | masks[b]).tobytes())
-        for a, b in reversed(pairs)
-    )
-
-
-# The sweep and the basis check read the last order's table here; a lone target_scan keeps none.
-target_scans = lru_cache(maxsize=1)(_scan_table)
+    masks = occurrence_masks(tm_word(i), splits, {word for j in offsets for word in pairs[i - j - 1]})
+    return {j: tuple(masks[word] for word in pairs[i - j - 1]) for j in offsets}
 
 
 def target_scan(i: int, j: int, kind: str) -> PositionSet:
     """Direct scan: the 1-based starts of the (i, j, kind) target in tm_word(i)."""
-    if not 0 <= j < i:
-        raise ValueError(f"target_scan: offset {j} out of domain for order {i}")
-    scans = _scan_table(i)[j]
-    return scans.a_set if kind == "A" else scans.b_set
+    return mask_positions(target_scans(i, range(j, j + 1))[j]["AB".index(kind)])
 
 
 def validate_smallest_factorization(
@@ -369,24 +357,24 @@ def validate_smallest_factorization(
     return set(compress(fac.starts, mask)) == set(scan) and b"\0\0" not in mask
 
 
-def factorization_basis_ok(fac: SmallestFactorization, scan: PositionSet) -> bool:
+def factorization_basis_ok(fac: SmallestFactorization, scan: PositionSet, table: dict | None = None) -> bool:
     """Every non-empty gap of tm_word(i) around the ``target_scan`` starts
     ``scan`` is the order-(i-j) word, the order-(i-j-1) word or a flip (only
     defined members count at the last offset, where the lower order would
-    be 0). Where ``fac`` validates, the gaps are its other factors."""
-    high = fac.i - fac.j
-    scans = target_scans(fac.i)
+    be 0). Where ``fac`` validates, the gaps are its other factors. The
+    basis words' masks are read from ``table``, a ``target_scans`` of order i
+    that holds offsets j and j+1, built here when not given."""
+    offsets = range(fac.j, min(fac.j + 2, fac.i))
+    table = target_scans(fac.i, offsets) if table is None else table
     # The gaps run from each occurrence's end (0 first) to the next start
     # (the word's end last), 0-based; a gap of length 0 or less is no gap.
     starts = np.fromiter(scan, np.int64, len(scan))
-    ends = np.append(0, starts + (tm_length(high) - 1))
+    ends = np.append(0, starts + (tm_length(fac.i - fac.j) - 1))
     lengths = np.append(starts - 1, tm_length(fac.i)) - ends
     ok = lengths <= 0
-    for d in range(min(2, high)):  # a gap of a basis length is a basis word iff one starts there
-        hit = lengths == tm_length(high - d)
-        if not np.frombuffer(scans[fac.j + d].either, bool)[ends[hit]].all():
-            return False
-        ok |= hit
+    for j in offsets:  # a gap of a basis length is a basis word iff one starts there
+        hit = lengths == tm_length(fac.i - j)
+        ok[hit] = table[j][0][ends[hit]] | table[j][1][ends[hit]]
     return bool(ok.all())
 
 

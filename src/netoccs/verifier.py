@@ -37,7 +37,7 @@ from .fibonacci import (
     theta_steps,
 )
 from .netfreq import NetOccurrenceRecord, net_occurrences_bruteforce, net_occurrences_indexed
-from .occurrences import Occurrence, PositionSet
+from .occurrences import Occurrence, PositionSet, mask_positions
 from .onoc import bnso_set, bridging, greedy_onoc, prove_completeness, widen
 from .reports import ClaimResult
 from .thue_morse import (
@@ -145,7 +145,7 @@ def _engines_agree(word: str, records: list[NetOccurrenceRecord]) -> tuple[str, 
 
 def _fib_claims(i: int) -> _Claims:
     word = fib_word(i)
-    scans = theta_scans(i)
+    scans = theta_scans(i, range(i))
     steps = list(theta_steps(i))
     yield "theta_sets_match_oracle", _offset_table(range(i - 3), lambda j: steps[j].union() == scans[j])
     yield "theta_step_clauses", _offset_table(range(i - 3), lambda j: theta_step_ok(i, j, steps[j], scans[j]))
@@ -156,15 +156,16 @@ def _fib_claims(i: int) -> _Claims:
     yield _engines_agree(word, records)
 
 
-def _factorization_ok(i: int, j: int, kind: str, scan: PositionSet) -> bool:
+def _factorization_ok(i: int, j: int, kind: str, scan: PositionSet, table: dict) -> bool:
     """The (i, j, kind) smallest factorization passes every check against
-    ``scan``, the direct scan of its target in tm_word(i)."""
+    ``scan``, the direct scan of its target in tm_word(i), with the basis
+    words read from ``table``, the order's ``target_scans``."""
     try:
         fac = smallest_factorization(i, j, kind)
     except ValueError:  # (i, j, kind) is in the domain: the construction is at fault
         return False
     valid = validate_smallest_factorization(i, j, kind, fac, scan)
-    return valid and factorization_basis_ok(fac, scan) and factorization_boundary_ok(fac)
+    return valid and factorization_basis_ok(fac, scan, table) and factorization_boundary_ok(fac)
 
 
 def _tm_claims(i: int) -> _Claims:
@@ -172,7 +173,8 @@ def _tm_claims(i: int) -> _Claims:
     # The order's one table of direct scans of tm_word(i-j) and its flip, read
     # by the recurrence steps (built in one pass) and the smallest
     # factorizations; the steps' sizes are checked against the counts.
-    scans = target_scans(i)
+    table = target_scans(i, range(i))
+    scans = [OccurrenceSets(*map(mask_positions, table[j])) for j in range(i - 1)]
     steps = list(ab_steps(i))
     sets = [OccurrenceSets(a_step.union(), b_step.union()) for a_step, b_step in steps]
     a_seq, b_seq = ab_counts(i - 1)  # one past the recurrence's domain, for the top offset
@@ -196,11 +198,10 @@ def _tm_claims(i: int) -> _Claims:
 
     def factorization_ok(jk: list) -> bool:
         j, kind = jk
-        return _factorization_ok(i, j, kind, scans[j].a_set if kind == "A" else scans[j].b_set)
+        return _factorization_ok(i, j, kind, scans[j].a_set if kind == "A" else scans[j].b_set, table)
 
     yield "smallest_factorizations_valid", _offset_table(factorizations, factorization_ok)
-    del scans
-    target_scans.cache_clear()  # free the order's table before the indexed engine runs
+    del scans, table  # before the indexed engine runs
     yield _engines_agree(word, records)
 
 
@@ -226,12 +227,11 @@ def _sweep(family: str, claims: Callable[[int], _Claims], first: int, last: int)
 
 # The largest orders a sweep accepts. On these words the oracle makes a few
 # hundred probes per order (0.04-0.06 s at tm 17), so most of the time goes to
-# the factorization checks and the indexed engine; the direct scans come from
-# one mask table per order. Each order costs about 1.5x (Fibonacci) or 1.8x
-# (Thue-Morse) the one before. Three runs each, one per fresh process on a
-# 2-vCPU x86_64 VM (Python 3.11.7, numpy 2.4.6): verify_fibonacci(24)
-# 0.15-0.19 s and verify_thue_morse(17) 0.30-0.34 s, peak RSS (VmHWM)
-# 40.5-40.6 MB and 44.6 MB.
+# the factorization checks and the indexed engine. Each order costs about
+# 1.5x (Fibonacci) or 1.8x (Thue-Morse) the one before. Three runs each, one
+# per fresh process on a 2-vCPU x86_64 VM (Python 3.11.7, numpy 2.4.6):
+# verify_fibonacci(24) 0.16-0.20 s and verify_thue_morse(17) 0.28-0.39 s,
+# peak RSS (VmHWM) 39.7-40.2 MB and 42.6-42.7 MB.
 VERIFY_FIB_MAX_ORDER = 24
 VERIFY_TM_MAX_ORDER = 17
 

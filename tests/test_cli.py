@@ -595,3 +595,34 @@ def test_cli_output_matches_the_recorded_digest():
             out = re.sub(r" in \d+\.\d\ds$", "", out, flags=re.MULTILINE)
         digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
     assert digest.hexdigest() == _OUTPUT_CORPUS_DIGEST
+
+
+_CAP_PROBE = """
+import contextlib, io, sys, tracemalloc
+from netoccs import cli, words
+argv = sys.argv[1:]
+word = (words.fib_word if argv[1] == "fib" else words.tm_word)(int(argv[3]))
+tracemalloc.start()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(argv)
+print(code, len(word), tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["occ-sets", "fib", "--order", "36", "--j", "2"],
+        ["occ-sets", "tm", "--order", "25", "--j", "0"],
+        ["factorize", "tm", "--order", "25", "--j", "0", "--kind", "A"],
+    ],
+)
+def test_one_offset_at_the_order_cap_holds_a_few_word_lengths(argv):
+    # A lone scan builds its masks only up to its target and drops each one it
+    # no longer reads: at the cap the whole table would hold 36 to 50 masks of
+    # the word's length, where these commands peak under 8 (in a fresh process,
+    # with the words built before tracing starts).
+    proc = subprocess.run([sys.executable, "-c", _CAP_PROBE, *argv], capture_output=True, text=True, check=True)
+    code, length, peak = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak < 8 * length, (peak, length)

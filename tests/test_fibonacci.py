@@ -37,13 +37,17 @@ def test_theta_set_frozen_values():
 
 @pytest.mark.parametrize("i", range(3, 25))
 def test_theta_scans_are_the_direct_scans(i):
-    assert theta_scans(i) == tuple(oracle_theta(i, j) for j in range(i))
+    assert theta_scans(i, range(i)) == {j: oracle_theta(i, j) for j in range(i)}
+    assert theta_scans(i, range(i - 1, i)) == {i - 1: oracle_theta(i, i - 1)}
 
 
 def test_theta_scans_domain_errors():
     for i in (-1, 0, 1, 2, FIB_MAX_ORDER + 1):
         with pytest.raises(ValueError):
-            theta_scans(i)
+            theta_scans(i, range(i))
+    for offsets in (range(0), range(-1, 1), range(0, 8)):
+        with pytest.raises(ValueError):
+            theta_scans(7, offsets)
 
 
 def test_theta_set_domain_errors():

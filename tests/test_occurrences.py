@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from netoccs.occurrences import (
     occurrence_masks,
     shift_positions,
 )
+from netoccs.words import fib_word
 
 import reference
 
@@ -90,7 +92,8 @@ def test_occurrence_masks_match_find_occurrences_on_random_splits():
             left, right = rng.choice(words), rng.choice(words)
             splits.append((left + right, left, right))
             words.append(left + right)
-        masks = occurrence_masks(text, splits)
+        masks = occurrence_masks(text, splits, set(words))
+        assert masks.keys() == set(words)
         for word in words:
             assert masks[word].shape == (len(text),)
             assert mask_positions(masks[word]) == find_occurrences(word, text), (text, word)
@@ -99,7 +102,23 @@ def test_occurrence_masks_match_find_occurrences_on_random_splits():
 def test_occurrence_masks_refuse_a_split_that_does_not_spell_its_word():
     for word, left, right in [("ab", "b", "a"), ("aba", "a", "b"), ("ab", "a", "ab"), ("abab", "ab", "ba")]:
         with pytest.raises(ValueError, match="does not spell"):
-            occurrence_masks("abab", [("ab", "a", "b"), ("ba", "b", "a"), (word, left, right)])
+            occurrence_masks("abab", [("ab", "a", "b"), ("ba", "b", "a"), (word, left, right)], {word})
+
+
+def test_occurrence_masks_drop_each_mask_after_its_last_read():
+    # Building fib_word(28) in fib_word(30) reads every lower order once more
+    # after it is built; only a few masks of the text's length are ever held.
+    text = fib_word(30)
+    splits = [(fib_word(k), fib_word(k - 1), fib_word(k - 2)) for k in range(3, 29)]
+    tracemalloc.start()
+    try:
+        masks = occurrence_masks(text, splits, {fib_word(28), "b"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)
+    assert mask_positions(masks[fib_word(28)]) == find_occurrences(fib_word(28), text)
+    assert mask_positions(masks["b"]) == find_occurrences("b", text)
 
 
 def test_is_net_occurrence_basic():

@@ -11,7 +11,7 @@ import pytest
 from netoccs import thue_morse
 from netoccs.fibonacci import theta_set, theta_steps
 from netoccs.netfreq import net_occurrences_bruteforce
-from netoccs.occurrences import Occurrence, find_occurrences
+from netoccs.occurrences import Occurrence, find_occurrences, mask_positions
 from netoccs.thue_morse import (
     OccurrenceSets,
     SmallestFactorization,
@@ -413,24 +413,25 @@ def test_basis_failures_are_exactly_the_double_letter_gap_cases():
 @pytest.mark.parametrize("i", range(2, 18))
 def test_target_scans_are_the_direct_scans(i):
     word = tm_word(i)
-    scans = thue_morse.target_scans(i)
-    assert len(scans) == i
-    for j, sets in enumerate(scans):
-        either = bytearray(len(word))
-        for target, found in ((tm_word(i - j), sets.a_set), (tm_flip_word(i - j), sets.b_set)):
-            assert found == find_occurrences(target, word), j
-            for p in found:
-                either[p - 1] = 1
-        assert sets.either == either, j
+    table = thue_morse.target_scans(i, range(i))
+    assert sorted(table) == list(range(i))
+    for j, masks in table.items():
+        for target, mask in zip((tm_word(i - j), tm_flip_word(i - j)), masks):
+            assert mask_positions(mask) == find_occurrences(target, word), j
+            assert mask.shape == (len(word),)
     if i <= 8:
         for j, kind in product(range(i), "AB"):
-            assert target_scan(i, j, kind) == (scans[j].a_set if kind == "A" else scans[j].b_set)
+            assert target_scan(i, j, kind) == find_occurrences((tm_word if kind == "A" else tm_flip_word)(i - j), word)
 
 
 def test_target_scan_domain_errors():
     for i, j in [(1, 0), (5, -1), (5, 5), (TM_MAX_ORDER + 1, 0)]:
         with pytest.raises(ValueError):
             target_scan(i, j, "A")
+    for offsets in (range(0), range(-1, 1), range(3, 6)):
+        with pytest.raises(ValueError):
+            thue_morse.target_scans(5, offsets)
+    assert sorted(thue_morse.target_scans(5, range(2, 4))) == [2, 3]
 
 
 def test_factorization_basis_reads_the_gaps_from_a_direct_scan():

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import random
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import pytest
 
 from netoccs import cli, fibonacci, onoc, thue_morse, verifier
 from netoccs.netfreq import net_occurrences_bruteforce
-from netoccs.occurrences import Occurrence, Step, find_occurrences
+from netoccs.occurrences import Occurrence, Step, find_occurrences, mask_positions
 from netoccs.reports import ClaimResult, same_word
 from netoccs.verifier import (
     check_onoc_containment,
@@ -205,12 +204,13 @@ def test_target_scan_is_the_one_thue_morse_scan(monkeypatch):
     i, j = 8, 4
     true_scans = thue_morse.target_scans
 
-    @functools.lru_cache(maxsize=1)  # cached like target_scans, which the sweep clears
-    def faulty(order):  # lose the last position of one target
-        scans = list(true_scans(order))
-        if order == i:
-            scans[j] = dataclasses.replace(scans[j], a_set=scans[j].a_set[:-1])
-        return tuple(scans)
+    def faulty(order, offsets):  # lose the last position of one target
+        table = dict(true_scans(order, offsets))
+        if order == i and j in table:
+            a_mask = table[j][0].copy()
+            a_mask[np.flatnonzero(a_mask)[-1]] = False
+            table[j] = (a_mask, table[j][1])
+        return table
 
     for module in list(sys.modules.values()):
         if module.__name__.startswith("netoccs") and getattr(module, "target_scans", None) is true_scans:
@@ -342,15 +342,15 @@ def test_factorization_checks_share_one_target_scan(monkeypatch):
     built = []
     true_build = thue_morse.occurrence_masks
     monkeypatch.setattr(
-        thue_morse, "occurrence_masks", lambda text, splits: built.append(text) or true_build(text, splits)
+        thue_morse, "occurrence_masks", lambda text, *rest: built.append(text) or true_build(text, *rest)
     )
-    thue_morse.target_scans.cache_clear()
     assert verify_thue_morse(9).all_passed()
     assert built == [tm_word(i) for i in range(5, 10)]
+    table = thue_morse.target_scans(9, range(9))
     for j, kind in [(0, "A"), (3, "A"), (3, "B"), (7, "B")]:
-        scan = thue_morse.target_scans(9)[j]
         built.clear()
-        assert verifier._factorization_ok(9, j, kind, scan.a_set if kind == "A" else scan.b_set)
+        scan = mask_positions(table[j]["AB".index(kind)])
+        assert verifier._factorization_ok(9, j, kind, scan, table)
         assert built == []
 
 
