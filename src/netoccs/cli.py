@@ -219,6 +219,8 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_cover(raw: str) -> list[Occurrence]:
+    if not isinstance(raw, str):  # argparse reads "--cover=--" as an empty list
+        raise ValueError("cover syntax: expected 's,e' pairs joined by ';', got no cover")
     cover = []
     for chunk in raw.split(";"):
         parts = chunk.split(",")

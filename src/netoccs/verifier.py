@@ -302,13 +302,13 @@ def check_onoc_containment(text: str) -> tuple[tuple[Occurrence, ...], Occurrenc
     return cover, next((occ for occ in outside if occ not in bridged), None)
 
 
-# Texts per kernel call. The kernel's largest temporaries are its
-# (n + 2, n, block) table of substring counts and one (n, n, block)
-# comparison, at one byte per cell. Peak RSS of the exhaustive sweep to
-# length 14, against 30.0 MB after importing netoccs (2-vCPU Xeon, Python
-# 3.11, numpy 2.4): 30.9 MB in 0.09 s with blocks of 512 texts, 31.2 MB in
-# 0.07 s with 1,024, 31.7 MB with 2,048, 32.9 MB with 4,096 and 37.2 MB
-# with all 16,384 texts of length 14 in one call, for no gain in time.
+# Texts per kernel call. The largest temporaries are the (n, n, block)
+# common-prefix table and one comparison of its size, at a byte per cell,
+# and the (chain, n, block) containment test. Peak RSS (VmHWM) of the
+# exhaustive sweep to length 14, against 28.9 MB after importing netoccs
+# (2-vCPU x86_64 VM, Python 3.11.7, numpy 2.4.6): 29.9 MB in 0.03 s with
+# blocks of 512 texts or of 1,024, 30.6-30.7 MB with 2,048, 32.5 MB with
+# 4,096 and 41.6 MB with all 16,384 in one call, for no gain in time.
 _BLOCK = 1024
 
 _TO_BITS = str.maketrans("ab", "01")
@@ -326,62 +326,70 @@ class _Batch(NamedTuple):
     violated: np.ndarray  # (texts,) bool: a net occurrence outside it has no widened BNSO
 
 
+def _common_prefix_table(codes: np.ndarray, n: int) -> np.ndarray:
+    """lcp[p, q, t]: common-prefix length of text t's suffixes at 0-based p
+    and q, from the letter bits, row p from row p + 1; lcp[p, p] stays 0."""
+    bits = (codes >> np.arange(n - 1, -1, -1, dtype=codes.dtype)[:, None]) & 1
+    lcp = (bits[:, None] == bits[None, :]).view(np.int8)  # 1 where the letters agree
+    lcp[range(n), range(n)] = 0
+    for p in range(n - 2, -1, -1):
+        lcp[p, :-1] *= lcp[p + 1, 1:] + 1
+    return lcp
+
+
 def _containment_kernel(codes: np.ndarray, n: int) -> _Batch:
     """Check a block of texts of length n at once, from the definitions.
 
-    A text is its n-bit code: a = 0, b = 1, first letter in the top bit, so
-    the substring of length l at 0-based p is ``(code >> (n-p-l)) & mask``.
+    A text is its n-bit code: a = 0, b = 1, first letter in the top bit.
     Returns, per text, its net occurrences, the greedy ONOC's members,
     whether that cover exists, and whether some net occurrence outside it
-    contains no widened BNSO. This route counts substrings directly; it
-    shares no code with either net-occurrence engine. Texts are the last,
-    contiguous axis of every array, which keeps each numpy call one long
-    vector loop.
+    contains no widened BNSO. This route counts substrings directly, from
+    one all-pairs common-prefix table built from the letter bits in O(n^2)
+    per text; it shares no code with either net-occurrence engine. Texts
+    are the last, contiguous axis of every array, which keeps each numpy
+    call one long vector loop.
     """
-    cols = np.arange(len(codes))
+    cols = np.arange(len(codes), dtype=np.int32)
     pos = np.arange(n, dtype=np.int8)[:, None]
-    # counts[l, p, t]: occurrences in text t of its length-l substring at p;
-    # 0 where that substring would run past the end of the text.
-    counts = np.zeros((n + 2, n, len(codes)), np.uint8)
-    for length in range(1, n + 1):
-        shifts = np.arange(n - length, -1, -1, dtype=codes.dtype)[:, None]
-        subs = (codes >> shifts) & ((1 << length) - 1)
-        counts[length, : n - length + 1] = (subs[:, None] == subs[None, :]).sum(axis=0, dtype=np.uint8)
-    # A prefix of a repeated substring is repeated, so the number of
-    # repeated lengths at p is the longest repeated length R[p].
-    longest = (counts[1 : n + 1] >= 2).sum(axis=0, dtype=np.int8)
-    own = np.take_along_axis(counts, longest[None], axis=0)[0]
-    right = np.take_along_axis(counts, longest[None] + 1, axis=0)[0]
+    lcp = _common_prefix_table(codes, n)
+
+    def elsewhere(rows: np.ndarray, length: np.ndarray) -> np.ndarray:  # other occurrences
+        return (rows >= length[:, None]).sum(axis=1, dtype=np.int8)
+
+    # The substring of length l at p occurs at each q whose common prefix with
+    # p reaches l; none does past the end of the text. The longest repeated
+    # length R[p] is the maximum of row p.
+    longest = lcp.max(axis=1)
+    own = elsewhere(lcp, longest)
+    right = elsewhere(lcp, longest + 1)
     left = np.zeros_like(right)  # the left extension of p = 0 falls off
-    left[1:] = np.take_along_axis(counts[:, :-1], longest[None, 1:] + 1, axis=0)[0]
-    # A zero count is an extension past the end of the text: unique.
-    net = (longest > 0) & (own >= 2) & (left <= 1) & (right <= 1)
+    left[1:] = elsewhere(lcp[:-1], longest[1:] + 1)
+    net = (longest > 0) & (own >= 1) & (left == 0) & (right == 0)
     ends = pos + longest  # 1-based end of the candidate at 0-based p
 
-    # Greedy chain, as in greedy_onoc: the next member is the last net
-    # occurrence starting within the current one, and must follow it. Each
-    # step's widened BNSO marks the net occurrences that contain it.
+    # Greedy chain, as in greedy_onoc: a net occurrence's successor is the
+    # last net occurrence starting within it, and must follow it; a member
+    # without one (or reaching the end) is its own successor. The chain holds
+    # cells, p * texts + t, so each step is one gather from the raveled table.
+    def cell(p: np.ndarray) -> np.ndarray:
+        return p.astype(np.int32) * len(codes) + cols
+
     last_net = np.maximum.accumulate(np.where(net, pos, -1), axis=0)
-    alive = net[0].copy()
+    after = last_net.ravel()[cell(ends - 1)]
+    succ = cell(np.where(net & (ends < n) & (after > pos), after, pos)).ravel()
+    chain = [cols]  # each text starts at p = 0
+    while not np.array_equal(nxt := succ[chain[-1]], chain[-1]):
+        chain.append(nxt)
+    steps = np.stack(chain)
     members = np.zeros((n, len(codes)), bool)
-    members[0] = alive
-    bridged = np.zeros((n, len(codes)), bool)
-    current = np.zeros(len(codes), np.int8)
-    reach = ends[0].copy()
-    for _ in range(n):
-        extending = alive & (reach < n)
-        if not extending.any():
-            break
-        nxt = last_net[reach - 1, cols]  # texts no longer alive are masked
-        alive &= ~(extending & (nxt <= current))
-        extending &= alive
-        start, end = widen(nxt + 1, reach, n)
-        bridged |= extending & (pos + 1 <= start) & (ends >= end)
-        members[nxt[extending], cols[extending]] = True
-        current = np.where(extending, nxt, current)
-        reach = np.where(extending, ends[nxt, cols], reach)
-    violated = (net & ~members & ~bridged).any(axis=0) & alive
-    return _Batch(net, ends, members, alive, violated)
+    members.ravel()[steps] = net[0]
+    has_cover = net[0] & (ends.ravel()[steps[-1]] == n)
+    # Each step's widened BNSO marks the net occurrences that contain it.
+    start, end = widen(steps[1:] // len(codes) + 1, ends.ravel()[steps[:-1]], n)
+    moved = (steps[1:] != steps[:-1])[:, None]
+    bridged = (moved & (pos + 1 <= start[:, None]) & (ends >= end[:, None])).any(axis=0)
+    violated = (net & ~members & ~bridged).any(axis=0) & has_cover
+    return _Batch(net, ends, members, has_cover, violated)
 
 
 def _code_dtype(n: int) -> np.dtype:
@@ -420,10 +428,10 @@ def _sampled_blocks(seed: int, samples: int, max_len: int) -> _Blocks:
 
 
 # Each extra letter doubles an exhaustive sweep and adds a little to each
-# text's cost. Measured in-process on the 2-vCPU Xeon above: length 16 in
-# 0.35 s, 18 in 1.75 s and 20 in 8.5 s, with peak RSS 31.2, 32.0 and
-# 32.2 MB (blocks bound the memory). At that growth length 22 would take
-# about 40 s, and 32 (2^33 texts) would never finish.
+# text's cost. In-process on the VM above, three runs each: length 16 in
+# 0.12-0.17 s, 18 in 0.59-0.87 s and 20 in 3.1-4.1 s, with peak RSS 30.0-30.7
+# MB (blocks bound the memory). At that growth length 22 would take about
+# 16 s, and 32 (2^33 texts) would never finish.
 EXHAUSTIVE_MAX_LEN = 20
 
 

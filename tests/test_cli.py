@@ -439,6 +439,16 @@ def test_onoc_check_cover_syntax_errors(tmp_path, capsys):
     assert run(["onoc-check", "--text", str(path), "--cover", "a,b"]) == 2
 
 
+def test_onoc_check_refuses_a_cover_argparse_reads_as_empty(tmp_path):
+    # argparse parses "--cover=--" as an empty list, not as a string
+    path = tmp_path / "w.txt"
+    path.write_text(FIB7 + "\n")
+    argv = ["onoc-check", "--text", str(path), "--cover=--"]
+    code, out, err = _run_captured(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cover syntax") and err.count("\n") == 1
+
+
 def test_onoc_check_missing_file(tmp_path, capsys):
     assert run(["onoc-check", "--text", str(tmp_path / "nope.txt"), "--cover", "1,2"]) == 2
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import subprocess
 import sys
@@ -531,7 +532,7 @@ def _assert_kernel_matches_containment(texts: list[str]) -> None:
     for group in _by_length(texts).values():
         batch = _kernel(group)
         for t, text in enumerate(group):
-            outcome = check_onoc_containment(text)
+            outcome = verifier.check_onoc_containment(text)
             assert bool(batch.has_cover[t]) == (outcome is not None), text
             assert bool(batch.violated[t]) == (outcome is not None and outcome[1] is not None), text
 
@@ -559,6 +560,50 @@ def test_kernel_matches_per_text_routes_on_sampled_texts():
     texts += ["".join(rng.choice("ab") for _ in range(32)) for _ in range(50)]
     _assert_kernel_matches_oracle(texts)
     _assert_kernel_matches_containment(texts)
+
+
+# SHA-256 over the five _Batch arrays, as bytes in field order, block by
+# block of _exhaustive_blocks(14) with blocks of 1,024 texts; computed with
+# the per-length substring-count kernel this one replaced.
+_KERNEL_DIGEST = "c72dda949dfbb9e870721361692de072497b05c026ae99a8bff42086c2e783a8"
+
+
+def test_kernel_arrays_match_the_pinned_digest(monkeypatch):
+    monkeypatch.setattr(verifier, "_BLOCK", 1024)
+    digest = hashlib.sha256()
+    for n, codes, _ in verifier._exhaustive_blocks(14):
+        for array in verifier._containment_kernel(codes, n):
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == _KERNEL_DIGEST
+
+
+def test_kernel_comparison_catches_a_missed_flag(monkeypatch):
+    """A violation that the per-text route reports and the kernel does not
+    flag fails the containment comparison."""
+    true_check = verifier.check_onoc_containment
+
+    def planted(text):  # report the first member of aaaaa's cover as an offender
+        outcome = true_check(text)
+        return (outcome[0], outcome[0][0]) if text == "aaaaa" else outcome
+
+    monkeypatch.setattr(verifier, "check_onoc_containment", planted)
+    with pytest.raises(AssertionError, match="aaaaa"):
+        _assert_kernel_matches_containment(_all_texts(6))
+
+
+def test_kernel_comparison_catches_an_off_by_one_common_prefix(monkeypatch):
+    """A common-prefix table one too long on its q = p + 1 diagonal fails the
+    comparison with the oracle."""
+    true_table = verifier._common_prefix_table
+
+    def planted(codes, n):
+        lcp = true_table(codes, n)
+        lcp[range(n - 1), range(1, n)] += 1
+        return lcp
+
+    monkeypatch.setattr(verifier, "_common_prefix_table", planted)
+    with pytest.raises(AssertionError):
+        _assert_kernel_matches_oracle(_all_texts(8))
 
 
 def test_flagged_text_reports_the_per_text_witness(monkeypatch):
