@@ -42,7 +42,6 @@ from .thue_morse import (
     jacobsthal,
     predicted_tm_net_occurrences,
     smallest_factorization,
-    target_scan,
     validate_smallest_factorization,
 )
 from .verifier import (
@@ -99,7 +98,6 @@ __all__ = [
     "q_word",
     "read_word_file",
     "smallest_factorization",
-    "target_scan",
     "theta_count",
     "theta_set",
     "tm_length",

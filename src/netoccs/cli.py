@@ -163,9 +163,8 @@ def _cmd_factorize(args) -> int:
     else:
         payload = fac.to_json_dict()
         table = target_scans(args.order, range(args.j, min(args.j + 2, args.order)))
-        scan = mask_positions(table[args.j]["AB".index(args.kind)])
-        payload["valid"] = validate_smallest_factorization(args.order, args.j, args.kind, fac, scan)
-        payload["basis_ok"] = factorization_basis_ok(fac, scan, table)
+        payload["valid"] = validate_smallest_factorization(fac, table)
+        payload["basis_ok"] = factorization_basis_ok(fac, table)
         payload["boundary_ok"] = factorization_boundary_ok(fac)
         flags = " ".join(
             f"{k}={str(payload[k]).lower()}" for k in ("valid", "basis_ok", "boundary_ok")
@@ -219,8 +218,6 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_cover(raw: str) -> list[Occurrence]:
-    if not isinstance(raw, str):  # argparse reads "--cover=--" as an empty list
-        raise ValueError("cover syntax: expected 's,e' pairs joined by ';', got no cover")
     cover = []
     for chunk in raw.split(";"):
         parts = chunk.split(",")
@@ -267,6 +264,11 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # argparse reads "--opt=--" as an empty list, which no option here takes.
+    empty = next((dest for dest, value in vars(args).items() if value == []), None)
+    if empty is not None:
+        print(f"error: argument --{empty.replace('_', '-')}: expected one value, got none", file=sys.stderr)
+        return 2
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:

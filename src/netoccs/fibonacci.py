@@ -10,7 +10,8 @@ Covers three groups of machine-checkable facts about fib_word(i):
 * the uniqueness/follower lemmas that pin down the three net occurrences,
   together with the predicted net occurrence list itself.
 
-Checks return flat claim maps so callers can serialize them uniformly.
+Checks return flat claim maps so callers can serialize them uniformly. The
+recurrence checks and the lemmas read one theta_scans table per order.
 """
 
 from __future__ import annotations
@@ -166,30 +167,29 @@ def check_fib_identities(i: int) -> dict[str, ClaimResult]:
     return claims
 
 
-def check_fib_lemmas(i: int) -> dict[str, ClaimResult]:
+def check_fib_lemmas(i: int, scans: dict[int, PositionSet]) -> dict[str, ClaimResult]:
     """Exhaustive oracle checks of the occurrence-position, follower, and
-    uniqueness lemmas behind the net occurrence characterization (i >= 7)."""
+    uniqueness lemmas behind the net occurrence characterization (i >= 7).
+    The starts of fib_word(i-1..i-3) come from ``scans``, a ``theta_scans``."""
     if i < 7:
         raise ValueError(f"check_fib_lemmas: order {i} < 7")
     word = fib_word(i)
     L = fib_length
     core = fib_word(i - 2) + q_word(i)
     claims: dict[str, ClaimResult] = {}
-    scans: dict[str, PositionSet] = {}
-    for name, pattern, host, expected in (
-        ("square_two_occurrences", word, word + word, (1, L(i) + 1)),
-        ("previous_only_at_1", fib_word(i - 1), word, (1,)),
-        ("second_previous_positions", fib_word(i - 2), word, (1, L(i - 2) + 1, L(i - 1) + 1)),
-        ("third_previous_positions", fib_word(i - 3), word, (1, L(i - 3) + 1, L(i - 2) + 1, L(i - 1) + 1)),
-        ("core_block_positions", core, word, (1, L(i - 2) + 1)),
+    for name, found, expected in (
+        ("square_two_occurrences", find_occurrences(word, word + word), (1, L(i) + 1)),
+        ("previous_only_at_1", scans[1], (1,)),
+        ("second_previous_positions", scans[2], (1, L(i - 2) + 1, L(i - 1) + 1)),
+        ("third_previous_positions", scans[3], (1, L(i - 3) + 1, L(i - 2) + 1, L(i - 1) + 1)),
+        ("core_block_positions", find_occurrences(core, word), (1, L(i - 2) + 1)),
     ):
-        scans[name] = found = find_occurrences(pattern, host)
         claims[name] = ClaimResult(found == expected, witness=list(found))
 
     # q_word(6) is not defined; the truncated suffix word degenerates to the
     # empty word there, making the follower claim vacuous at order 7.
     follower = q_word(i - 1) if i >= 8 else ""
-    ok, bad = _followed_by(word, scans["third_previous_positions"], L(i - 3), follower, require_room=True)
+    ok, bad = _followed_by(word, scans[3], L(i - 3), follower, require_room=True)
     claims["third_previous_follower"] = ClaimResult(ok, witness=bad)
 
     extended = fib_word(i - 3) + fib_word(i - 6) + fib_word(i - 5)

@@ -24,7 +24,8 @@ Four groups of machine-checkable facts about tm_word(i):
 ab_sets deliberately stops at offset i-2: one step further the recurrence
 would shift by the length of an order-0 word, which does not exist. The
 direct scans come from target_scans, start masks of the targets built up
-to the longest one asked for; its offsets run to the letters at i-1.
+to the longest one asked for; its offsets run to the letters at i-1. The
+factorization checks read the targets' starts from that table alone.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .occurrences import (
     Occurrence,
     PositionSet,
     Step,
-    mask_positions,
     merge_positions,
     occurrence_masks,
     shift_positions,
@@ -337,42 +337,34 @@ def target_scans(i: int, offsets: range) -> dict[int, tuple[np.ndarray, np.ndarr
     return {j: tuple(masks[word] for word in pairs[i - j - 1]) for j in offsets}
 
 
-def target_scan(i: int, j: int, kind: str) -> PositionSet:
-    """Direct scan: the 1-based starts of the (i, j, kind) target in tm_word(i)."""
-    return mask_positions(target_scans(i, range(j, j + 1))[j]["AB".index(kind)])
-
-
-def validate_smallest_factorization(
-    i: int, j: int, kind: str, fac: SmallestFactorization, scan: PositionSet
-) -> bool:
+def validate_smallest_factorization(fac: SmallestFactorization, table: dict) -> bool:
     """True iff the factorization places a whole factor at every occurrence
-    of the target word, ``scan`` = ``target_scan(i, j, kind)``, and never
-    has two adjacent non-target factors. Raises ValueError for a
-    factorization of another order or one with no factors."""
-    if fac.i != i or not fac.codes:
-        raise ValueError(f"validate_smallest_factorization: need a non-empty factorization of order {i}")
-    target = (tm_word if kind == "A" else tm_flip_word)(i - j)
+    of its target word in ``table``, a ``target_scans`` of its order that
+    holds its offset, and never has two adjacent non-target factors. Raises
+    ValueError for a factorization with no factors."""
+    if not fac.codes:
+        raise ValueError(f"validate_smallest_factorization: need a non-empty factorization of order {fac.i}")
+    target = (tm_word if fac.kind == "A" else tm_flip_word)(fac.i - fac.j)
     # One byte per factor: 1 where the factor is the target word, else 0.
     mask = fac.codes.translate(bytes(word == target for word in fac.words).ljust(256, b"\0"))
-    return set(compress(fac.starts, mask)) == set(scan) and b"\0\0" not in mask
+    starts = np.flatnonzero(table[fac.j]["AB".index(fac.kind)]) + 1
+    return list(compress(fac.starts, mask)) == starts.tolist() and b"\0\0" not in mask
 
 
-def factorization_basis_ok(fac: SmallestFactorization, scan: PositionSet, table: dict | None = None) -> bool:
-    """Every non-empty gap of tm_word(i) around the ``target_scan`` starts
-    ``scan`` is the order-(i-j) word, the order-(i-j-1) word or a flip (only
-    defined members count at the last offset, where the lower order would
-    be 0). Where ``fac`` validates, the gaps are its other factors. The
-    basis words' masks are read from ``table``, a ``target_scans`` of order i
-    that holds offsets j and j+1, built here when not given."""
-    offsets = range(fac.j, min(fac.j + 2, fac.i))
-    table = target_scans(fac.i, offsets) if table is None else table
+def factorization_basis_ok(fac: SmallestFactorization, table: dict) -> bool:
+    """Every non-empty gap of tm_word(i) around the target's starts is the
+    order-(i-j) word, the order-(i-j-1) word or a flip (only defined members
+    count at the last offset, where the lower order would be 0). Where
+    ``fac`` validates, the gaps are its other factors. The starts and the
+    basis words' masks are read from ``table``, a ``target_scans`` of order
+    i that holds offsets j and j+1 where that offset exists."""
     # The gaps run from each occurrence's end (0 first) to the next start
     # (the word's end last), 0-based; a gap of length 0 or less is no gap.
-    starts = np.fromiter(scan, np.int64, len(scan))
-    ends = np.append(0, starts + (tm_length(fac.i - fac.j) - 1))
-    lengths = np.append(starts - 1, tm_length(fac.i)) - ends
+    starts = np.flatnonzero(table[fac.j]["AB".index(fac.kind)])
+    ends = np.append(0, starts + tm_length(fac.i - fac.j))
+    lengths = np.append(starts, tm_length(fac.i)) - ends
     ok = lengths <= 0
-    for j in offsets:  # a gap of a basis length is a basis word iff one starts there
+    for j in range(fac.j, min(fac.j + 2, fac.i)):  # a basis-length gap is a basis word iff one starts there
         hit = lengths == tm_length(fac.i - j)
         ok[hit] = table[j][0][ends[hit]] | table[j][1][ends[hit]]
     return bool(ok.all())

@@ -37,7 +37,7 @@ from .fibonacci import (
     theta_steps,
 )
 from .netfreq import NetOccurrenceRecord, net_occurrences_bruteforce, net_occurrences_indexed
-from .occurrences import Occurrence, PositionSet, mask_positions
+from .occurrences import Occurrence, mask_positions
 from .onoc import bnso_set, bridging, greedy_onoc, prove_completeness, widen
 from .reports import ClaimResult
 from .thue_morse import (
@@ -65,16 +65,24 @@ def _versions() -> dict[str, str]:
 @dataclass(frozen=True)
 class VerificationReport:
     """A sweep's claims by ``order_<i>/<name>``, in order, with the order
-    range it covered, its total wall time, and the seconds each order's
-    claims took (``order_wall_times``) and each claim took
-    (``claim_wall_times``, keyed like ``claims``)."""
+    range it covered, its total wall time, and the seconds each claim took
+    (``claim_wall_times``, keyed like ``claims``) and each order's claims
+    took (``order_wall_times``, their sum)."""
 
     family: str
     orders: tuple[int, int]
     claims: dict[str, ClaimResult]
     wall_time: float
-    order_wall_times: dict[int, float]
     claim_wall_times: dict[str, float]
+
+    @property
+    def order_wall_times(self) -> dict[int, float]:
+        """Each order's claim times summed in report order."""
+        times: dict[int, float] = {}
+        for key, t in self.claim_wall_times.items():
+            i = int(key.partition("/")[0].removeprefix("order_"))
+            times[i] = times.get(i, 0.0) + t
+        return times
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.claims.values())
@@ -151,21 +159,20 @@ def _fib_claims(i: int) -> _Claims:
     yield "theta_step_clauses", _offset_table(range(i - 3), lambda j: theta_step_ok(i, j, steps[j], scans[j]))
     yield "theta_counts_match_oracle", _offset_table(range(i), lambda j: theta_count(i, j) == len(scans[j]))
     yield "identities", _all_pass(check_fib_identities(i))
-    yield "lemmas", _all_pass(check_fib_lemmas(i))
+    yield "lemmas", _all_pass(check_fib_lemmas(i, scans))
     records = yield from _prediction_claims(word, predicted_fib_net_occurrences(i))
     yield _engines_agree(word, records)
 
 
-def _factorization_ok(i: int, j: int, kind: str, scan: PositionSet, table: dict) -> bool:
+def _factorization_ok(i: int, j: int, kind: str, table: dict) -> bool:
     """The (i, j, kind) smallest factorization passes every check against
-    ``scan``, the direct scan of its target in tm_word(i), with the basis
-    words read from ``table``, the order's ``target_scans``."""
+    ``table``, the order's ``target_scans``."""
     try:
         fac = smallest_factorization(i, j, kind)
     except ValueError:  # (i, j, kind) is in the domain: the construction is at fault
         return False
-    valid = validate_smallest_factorization(i, j, kind, fac, scan)
-    return valid and factorization_basis_ok(fac, scan, table) and factorization_boundary_ok(fac)
+    valid = validate_smallest_factorization(fac, table)
+    return valid and factorization_basis_ok(fac, table) and factorization_boundary_ok(fac)
 
 
 def _tm_claims(i: int) -> _Claims:
@@ -183,7 +190,7 @@ def _tm_claims(i: int) -> _Claims:
     yield "occurrence_counts_match", _offset_table(
         range(i - 1), lambda j: (len(sets[j].a_set), len(sets[j].b_set)) == (a_seq[j], b_seq[j])
     )
-    del steps, sets  # before the order's heavier claims run
+    del scans, steps, sets  # before the order's heavier claims run
     # One offset past its domain the count recurrence disagrees with the word,
     # by design: the sweep asserts the disagreement rather than hiding it.
     oracle_top = word.count("a")
@@ -195,34 +202,26 @@ def _tm_claims(i: int) -> _Claims:
     records = yield from _prediction_claims(word, predicted_tm_net_occurrences(i))
     # Kind B at offset 0 is the degenerate empty factorization.
     factorizations = [[j, kind] for j in range(i - 1) for kind in ("A", "B") if j or kind == "A"]
-
-    def factorization_ok(jk: list) -> bool:
-        j, kind = jk
-        return _factorization_ok(i, j, kind, scans[j].a_set if kind == "A" else scans[j].b_set, table)
-
-    yield "smallest_factorizations_valid", _offset_table(factorizations, factorization_ok)
-    del scans, table  # before the indexed engine runs
+    yield "smallest_factorizations_valid", _offset_table(
+        factorizations, lambda jk: _factorization_ok(i, *jk, table)
+    )
+    del table  # before the indexed engine runs
     yield _engines_agree(word, records)
 
 
 def _sweep(family: str, claims: Callable[[int], _Claims], first: int, last: int) -> VerificationReport:
     """Run ``claims(i)`` for the orders first..last in turn, timing each claim
-    from the previous yield of its order; an order's time is their sum."""
+    from the previous yield of its order."""
     start = time.perf_counter()
     merged: dict[str, ClaimResult] = {}
     claim_wall_times: dict[str, float] = {}
-    order_wall_times: dict[int, float] = {}
     for i in range(first, last + 1):
-        order_wall_times[i] = 0.0
         mark = time.perf_counter()
         for name, result in claims(i):
             key, now = f"order_{i}/{name}", time.perf_counter()
             merged[key], claim_wall_times[key] = result, now - mark
-            order_wall_times[i] += now - mark
             mark = now
-    return VerificationReport(
-        family, (first, last), merged, time.perf_counter() - start, order_wall_times, claim_wall_times
-    )
+    return VerificationReport(family, (first, last), merged, time.perf_counter() - start, claim_wall_times)
 
 
 # The largest orders a sweep accepts. On these words the oracle makes a few

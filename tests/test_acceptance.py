@@ -35,7 +35,7 @@ from netoccs.thue_morse import (
     jacobsthal,
     predicted_tm_net_occurrences,
     smallest_factorization,
-    target_scan,
+    target_scans,
     validate_smallest_factorization,
 )
 from netoccs.verifier import verify_onoc_lemma_random
@@ -169,15 +169,15 @@ def test_criterion_08_smallest_factorizations_satisfy_all_checks():
     so the only factorization is the empty one.)"""
     failures = []
     for i in range(2, 13):
+        table = target_scans(i, range(i))
         for j in range(0, i):
             for kind in ("A", "B"):
                 if j == 0 and kind == "B":
                     continue
                 fac = smallest_factorization(i, j, kind)
-                scan = target_scan(i, j, kind)
                 ok = (
-                    validate_smallest_factorization(i, j, kind, fac, scan)
-                    and factorization_basis_ok(fac, scan)
+                    validate_smallest_factorization(fac, table)
+                    and factorization_basis_ok(fac, table)
                     and factorization_boundary_ok(fac)
                 )
                 if not ok:

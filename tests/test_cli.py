@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via netoccs.cli.run."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -446,7 +447,46 @@ def test_onoc_check_refuses_a_cover_argparse_reads_as_empty(tmp_path):
     argv = ["onoc-check", "--text", str(path), "--cover=--"]
     code, out, err = _run_captured(argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: cover syntax") and err.count("\n") == 1
+    assert err.startswith("error: argument --cover: expected one value") and err.count("\n") == 1
+
+
+# A valid argv for each command, from which each option is dropped in turn.
+_BASE_ARGV = {
+    "gen": ["gen", "fib", "--order", "7"],
+    "netocc": ["netocc", "--fib", "7"],
+    "occ-sets": ["occ-sets", "fib", "--order", "7", "--j", "1"],
+    "factorize": ["factorize", "tm", "--order", "5", "--j", "1", "--kind", "A"],
+    "verify": ["verify", "fib", "--max-order", "7"],
+    "onoc-check": ["onoc-check", "--text", "w.txt", "--cover", "1,2"],
+}
+
+
+def _value_options():
+    """(command, option) for every option of every command that takes a value."""
+    commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action.option_strings[0])
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.option_strings and action.nargs != 0
+    ]
+
+
+def _without(argv, option):
+    """``argv`` without ``option`` and the value after it."""
+    if option not in argv:
+        return argv
+    k = argv.index(option)
+    return argv[:k] + argv[k + 2 :]
+
+
+@pytest.mark.parametrize("command, option", _value_options())
+def test_every_option_refuses_a_value_argparse_reads_as_empty(command, option):
+    argv = _without(_BASE_ARGV[command], option)
+    if command == "netocc" and option in ("--text", "--tm"):  # one source at a time
+        argv = _without(argv, "--fib")
+    code, out, err = _run_captured(argv + [f"{option}=--"])
+    assert (code, out, err) == (2, "", f"error: argument {option}: expected one value, got none\n")
 
 
 def test_onoc_check_missing_file(tmp_path, capsys):

@@ -174,7 +174,7 @@ def test_failing_identities_carry_their_witnesses(monkeypatch):
 
 def test_extended_block_unique_names_the_repeated_string(monkeypatch):
     monkeypatch.setattr(fibonacci, "_unique_in", lambda text, sub: len(sub) != fib_length(7) - 1)
-    claim = check_fib_lemmas(9)["extended_block_unique"]
+    claim = check_fib_lemmas(9, theta_scans(9, range(1, 4)))["extended_block_unique"]
     assert claim == ClaimResult(False, witness=["extended_block_prefix"])
 
 
@@ -193,7 +193,7 @@ LEMMA_KEYS = {
 
 @pytest.mark.parametrize("i", [7, 8, 10, 12])
 def test_fib_lemmas_pass(i):
-    claims = check_fib_lemmas(i)
+    claims = check_fib_lemmas(i, theta_scans(i, range(1, 4)))
     assert set(claims) == LEMMA_KEYS
     assert all(c.passed for c in claims.values()), {
         k: c.witness for k, c in claims.items() if not c.passed
@@ -202,7 +202,7 @@ def test_fib_lemmas_pass(i):
 
 def test_fib_lemmas_domain():
     with pytest.raises(ValueError):
-        check_fib_lemmas(6)
+        check_fib_lemmas(6, theta_scans(6, range(1, 4)))
 
 
 def test_lengths_are_consistent_with_words():

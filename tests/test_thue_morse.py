@@ -6,9 +6,9 @@ import json
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 
-from netoccs import thue_morse
 from netoccs.fibonacci import theta_set, theta_steps
 from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence, find_occurrences, mask_positions
@@ -27,7 +27,7 @@ from netoccs.thue_morse import (
     jacobsthal,
     predicted_tm_net_occurrences,
     smallest_factorization,
-    target_scan,
+    target_scans,
     validate_smallest_factorization,
 )
 from netoccs.words import (
@@ -124,7 +124,7 @@ def test_recurrences_hold_nothing_after_a_call():
         before = tracemalloc.get_traced_memory()[0]
         for kind in ("A", "B"):
             fac = smallest_factorization(18, 16, kind)
-            assert validate_smallest_factorization(18, 16, kind, fac, target_scan(18, 16, kind))
+            assert validate_smallest_factorization(fac, target_scans(18, range(16, 17)))
             del fac
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -293,9 +293,9 @@ def test_smallest_factorization_nine_factors_at_offset_three():
     fac = smallest_factorization(5, 3, "A")
     assert len(fac.factors) == 9
     assert "".join(fac.texts) == tm_word(5)
-    scan = target_scan(5, 3, "A")
-    assert validate_smallest_factorization(5, 3, "A", fac, scan)
-    assert factorization_basis_ok(fac, scan)
+    table = target_scans(5, range(3, 5))
+    assert validate_smallest_factorization(fac, table)
+    assert factorization_basis_ok(fac, table)
     assert factorization_boundary_ok(fac)
 
 
@@ -303,16 +303,15 @@ def test_letterwise_construction_at_top_offset():
     fac = smallest_factorization(3, 2, "A")
     labels = [(f.kind, f.resolve()) for f in fac.factors]
     assert labels == [("TM", "a"), ("lit", "bb"), ("TM", "a")]
-    scan = target_scan(3, 2, "A")
-    assert validate_smallest_factorization(3, 2, "A", fac, scan)
+    table = target_scans(3, range(2, 3))  # offset 3 does not exist at order 3
+    assert validate_smallest_factorization(fac, table)
     assert factorization_boundary_ok(fac)
-    assert not factorization_basis_ok(fac, scan)  # the double-letter gap
+    assert not factorization_basis_ok(fac, table)  # the double-letter gap
 
     fac = smallest_factorization(3, 2, "B")
     assert [f.resolve() for f in fac.factors] == ["a", "b", "b", "a"]
-    scan = target_scan(3, 2, "B")
-    assert validate_smallest_factorization(3, 2, "B", fac, scan)
-    assert factorization_basis_ok(fac, scan)
+    assert validate_smallest_factorization(fac, table)
+    assert factorization_basis_ok(fac, table)
     assert factorization_boundary_ok(fac)
 
 
@@ -325,7 +324,7 @@ def test_smallest_factorization_domain_errors():
 def test_validate_rejects_degenerate_empty():
     fac = smallest_factorization(5, 0, "B")
     with pytest.raises(ValueError):
-        validate_smallest_factorization(5, 0, "B", fac, target_scan(5, 0, "B"))
+        validate_smallest_factorization(fac, target_scans(5, range(0, 2)))
 
 
 def test_factorization_must_flatten_to_target():
@@ -357,13 +356,6 @@ def test_factors_share_at_most_four_refs():
                 assert len({id(f) for f in fac.factors}) <= 4, (i, j, kind)
 
 
-def test_validate_rejects_a_factorization_of_another_order():
-    fac = smallest_factorization(5, 2, "A")
-    for i in (4, 6):
-        with pytest.raises(ValueError):
-            validate_smallest_factorization(i, 2, "A", fac, target_scan(i, 2, "A"))
-
-
 def test_validate_rejects_adjacent_gap_factors():
     # Same letters as the letterwise factorization of (4, 3, A), but with
     # the double-letter gap split in two -- not smallest any more.
@@ -371,7 +363,7 @@ def test_validate_rejects_adjacent_gap_factors():
     refs = (tm_ref(1), lit_ref("b"))
     fac = SmallestFactorization(refs, bytes((0, 1, 1, 0, 1, 0, 0, 1)), "A", 4, 3)
     assert "".join(fac.texts) == word
-    assert not validate_smallest_factorization(4, 3, "A", fac, target_scan(4, 3, "A"))
+    assert not validate_smallest_factorization(fac, target_scans(4, range(3, 4)))
 
 
 def test_validate_rejects_missing_target_placement():
@@ -379,7 +371,7 @@ def test_validate_rejects_missing_target_placement():
     word = tm_word(3)
     fac = SmallestFactorization((tm_ref(1), lit_ref("bba")), b"\0\1", "A", 3, 2)
     assert "".join(fac.texts) == word
-    assert not validate_smallest_factorization(3, 2, "A", fac, target_scan(3, 2, "A"))
+    assert not validate_smallest_factorization(fac, target_scans(3, range(2, 3)))
 
 
 FULL_SWEEP = [
@@ -400,12 +392,12 @@ def test_basis_failures_are_exactly_the_double_letter_gap_cases():
     checks always pass; the factor-alphabet check fails exactly where the
     single-letter target leaves double-letter gaps."""
     failures = set()
+    tables = {i: target_scans(i, range(i)) for i in range(2, 13)}
     for i, j, kind in FULL_SWEEP:
         fac = smallest_factorization(i, j, kind)
-        scan = target_scan(i, j, kind)
-        assert validate_smallest_factorization(i, j, kind, fac, scan), (i, j, kind)
+        assert validate_smallest_factorization(fac, tables[i]), (i, j, kind)
         assert factorization_boundary_ok(fac), (i, j, kind)
-        if not factorization_basis_ok(fac, scan):
+        if not factorization_basis_ok(fac, tables[i]):
             failures.add((i, j, kind))
     assert failures == EXPECTED_BASIS_FAILURES
 
@@ -413,25 +405,25 @@ def test_basis_failures_are_exactly_the_double_letter_gap_cases():
 @pytest.mark.parametrize("i", range(2, 18))
 def test_target_scans_are_the_direct_scans(i):
     word = tm_word(i)
-    table = thue_morse.target_scans(i, range(i))
+    table = target_scans(i, range(i))
     assert sorted(table) == list(range(i))
     for j, masks in table.items():
         for target, mask in zip((tm_word(i - j), tm_flip_word(i - j)), masks):
             assert mask_positions(mask) == find_occurrences(target, word), j
             assert mask.shape == (len(word),)
-    if i <= 8:
-        for j, kind in product(range(i), "AB"):
-            assert target_scan(i, j, kind) == find_occurrences((tm_word if kind == "A" else tm_flip_word)(i - j), word)
+    if i <= 8:  # a table of one offset holds the same scans
+        for j in range(i):
+            assert all(map(np.array_equal, target_scans(i, range(j, j + 1))[j], table[j])), j
 
 
 def test_target_scan_domain_errors():
     for i, j in [(1, 0), (5, -1), (5, 5), (TM_MAX_ORDER + 1, 0)]:
         with pytest.raises(ValueError):
-            target_scan(i, j, "A")
+            target_scans(i, range(j, j + 1))
     for offsets in (range(0), range(-1, 1), range(3, 6)):
         with pytest.raises(ValueError):
-            thue_morse.target_scans(5, offsets)
-    assert sorted(thue_morse.target_scans(5, range(2, 4))) == [2, 3]
+            target_scans(5, offsets)
+    assert sorted(target_scans(5, range(2, 4))) == [2, 3]
 
 
 def test_factorization_basis_reads_the_gaps_from_a_direct_scan():
@@ -439,8 +431,11 @@ def test_factorization_basis_reads_the_gaps_from_a_direct_scan():
     check must read the gaps from the word itself: with one occurrence of
     the target lost from the scan, the gap around it is no basis word."""
     fac = smallest_factorization(8, 4, "A")
-    assert factorization_basis_ok(fac, target_scan(8, 4, "A"))
-    assert not factorization_basis_ok(fac, target_scan(8, 4, "A")[:-1])
+    table = target_scans(8, range(4, 6))
+    assert factorization_basis_ok(fac, table)
+    lost = table[4][0].copy()
+    lost[np.flatnonzero(lost)[-1]] = False
+    assert not factorization_basis_ok(fac, {**table, 4: (lost, table[4][1])})
 
 
 def test_factorization_json_shape():
@@ -483,15 +478,14 @@ def test_every_factorization_is_pinned(i):
     assert digest == FACTORIZATION_DIGESTS[i]
 
 
-def _factorization_record(i, j, kind):
+def _factorization_record(i, j, kind, table):
     """What the (i, j, kind) factorization shows: its JSON, texts and starts,
-    and each check's verdict on the direct scan, or the ValueError text
-    where a check raises one."""
+    and each check's verdict on ``table``, the order's direct scans, or the
+    ValueError text where a check raises one."""
     fac = smallest_factorization(i, j, kind)
-    scan = target_scan(i, j, kind)
     checks = {
-        "valid": lambda: validate_smallest_factorization(i, j, kind, fac, scan),
-        "basis_ok": lambda: factorization_basis_ok(fac, scan),
+        "valid": lambda: validate_smallest_factorization(fac, table),
+        "basis_ok": lambda: factorization_basis_ok(fac, table),
         "boundary_ok": lambda: factorization_boundary_ok(fac),
     }
     record = {"json": fac.to_json_dict(), "texts": fac.texts, "starts": fac.starts}
@@ -512,7 +506,8 @@ FACTORIZATION_RECORDS_DIGEST = "bda81dd43dfd95bbe4733c936b357b56cda9fe727601ebf4
 def test_every_factorization_and_check_verdict_is_pinned():
     digest = hashlib.sha256()
     for i in range(2, 15):
+        table = target_scans(i, range(i))
         for j in range(i):
             for kind in ("A", "B"):
-                digest.update(json.dumps(_factorization_record(i, j, kind), sort_keys=True).encode() + b"\n")
+                digest.update(json.dumps(_factorization_record(i, j, kind, table), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == FACTORIZATION_RECORDS_DIGEST

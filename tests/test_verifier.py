@@ -10,7 +10,7 @@ import pytest
 
 from netoccs import cli, fibonacci, onoc, thue_morse, verifier
 from netoccs.netfreq import net_occurrences_bruteforce
-from netoccs.occurrences import Occurrence, Step, find_occurrences, mask_positions
+from netoccs.occurrences import Occurrence, Step, find_occurrences
 from netoccs.reports import ClaimResult, same_word
 from netoccs.verifier import (
     check_onoc_containment,
@@ -20,7 +20,7 @@ from netoccs.verifier import (
 )
 from netoccs.onoc import greedy_onoc
 from netoccs.thue_morse import OccurrenceSets
-from netoccs.words import FactorRef, fib_word, flip_word, tm_flip_ref, tm_flip_word, tm_word
+from netoccs.words import FactorRef, fib_length, fib_word, flip_word, q_word, tm_flip_ref, tm_flip_word, tm_word
 
 FIB_CLAIMS = {
     "theta_sets_match_oracle",
@@ -350,9 +350,49 @@ def test_factorization_checks_share_one_target_scan(monkeypatch):
     table = thue_morse.target_scans(9, range(9))
     for j, kind in [(0, "A"), (3, "A"), (3, "B"), (7, "B")]:
         built.clear()
-        scan = mask_positions(table[j]["AB".index(kind)])
-        assert verifier._factorization_ok(9, j, kind, scan, table)
+        assert verifier._factorization_ok(9, j, kind, table)
         assert built == []
+
+
+def test_fibonacci_claims_share_one_theta_scan(monkeypatch):
+    # The sweep builds one table of direct scans of fib_word(i-j) in
+    # fib_word(i) per order, which the theta claims and the lemmas read. The
+    # lemmas scan only for what the table does not hold: the word in its
+    # square, the core block and the stem (fib_word(3) at order 7).
+    built, found = [], []
+    true_build, true_find = fibonacci.occurrence_masks, fibonacci.find_occurrences
+    monkeypatch.setattr(
+        fibonacci, "occurrence_masks", lambda text, *rest: built.append(text) or true_build(text, *rest)
+    )
+    monkeypatch.setattr(
+        fibonacci, "find_occurrences", lambda pattern, text: found.append((pattern, text)) or true_find(pattern, text)
+    )
+    assert verify_fibonacci(10).all_passed()
+    assert built == [fib_word(i) for i in range(7, 11)]
+    expected = []
+    for i in range(7, 11):
+        word = fib_word(i)
+        expected += [(word, word + word), (fib_word(i - 2) + q_word(i), word), (fib_word(i - 3)[:-1], word)]
+    assert found == expected
+
+
+def test_lemmas_read_the_sweeps_theta_scans(monkeypatch):
+    # A position lost from the order's scan of fib_word(i-2) fails the lemmas
+    # there, beside the theta claims: they do not scan the word by themselves.
+    i = 9
+    true_scans = verifier.theta_scans
+
+    def faulty(order, offsets):
+        table = true_scans(order, offsets)
+        return {**table, 2: table[2][:-1]} if order == i else table
+
+    monkeypatch.setattr(verifier, "theta_scans", faulty)
+    assert _failing(dict(verifier._fib_claims(i))) == {
+        "theta_sets_match_oracle": [2],
+        "theta_step_clauses": [2],
+        "theta_counts_match_oracle": [2],
+        "lemmas": {"second_previous_positions": [1, fib_length(i - 2) + 1]},
+    }
 
 
 def test_no_recurrence_state_outlives_a_call(monkeypatch):
@@ -397,8 +437,8 @@ def test_repetition_claims_catch_a_planted_repetition(planted, verdicts, monkeyp
 def test_folded_claims_keep_each_failing_witness(monkeypatch):
     true_lemmas = verifier.check_fib_lemmas
 
-    def planted(i):
-        claims = true_lemmas(i)
+    def planted(i, scans):
+        claims = true_lemmas(i, scans)
         claims["previous_only_at_1"] = ClaimResult(False, witness=[1, 35])
         return claims
 
@@ -589,6 +629,39 @@ def test_kernel_comparison_catches_a_missed_flag(monkeypatch):
     monkeypatch.setattr(verifier, "check_onoc_containment", planted)
     with pytest.raises(AssertionError, match="aaaaa"):
         _assert_kernel_matches_containment(_all_texts(6))
+
+
+def _widen_two_letters(start, end, n):
+    """A planted widening: two positions on each side, clipped to the text."""
+    return np.maximum(start - 2, 1), np.minimum(end + 2, n)
+
+
+def test_kernel_flags_the_violations_of_a_planted_widening(monkeypatch):
+    """Widened by two letters per side, some BNSOs fit in no net occurrence
+    outside the cover: the kernel and the per-text route flag the same
+    texts, there are some, and the sweep reports each of them."""
+    monkeypatch.setattr(onoc, "widen", _widen_two_letters)
+    monkeypatch.setattr(verifier, "widen", _widen_two_letters)
+    texts = _all_texts(12)
+    _assert_kernel_matches_containment(texts)
+    groups = _by_length(texts).values()
+    flagged = [text for group in groups for text, bad in zip(group, _kernel(group).violated) if bad]
+    assert flagged
+    report = verify_onoc_lemma_random(0, 1, 12, exhaustive=True)
+    assert [text for text, _, _ in report.violations] == flagged
+
+
+def test_kernel_comparison_catches_a_kernel_that_never_flags(monkeypatch):
+    monkeypatch.setattr(onoc, "widen", _widen_two_letters)
+    monkeypatch.setattr(verifier, "widen", _widen_two_letters)
+    true_kernel = verifier._containment_kernel
+
+    def planted(codes, n):
+        return true_kernel(codes, n)._replace(violated=np.zeros(len(codes), bool))
+
+    monkeypatch.setattr(verifier, "_containment_kernel", planted)
+    with pytest.raises(AssertionError):
+        _assert_kernel_matches_containment(_all_texts(12))
 
 
 def test_kernel_comparison_catches_an_off_by_one_common_prefix(monkeypatch):
