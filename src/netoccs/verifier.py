@@ -304,10 +304,11 @@ def check_onoc_containment(text: str) -> tuple[tuple[Occurrence, ...], Occurrenc
 # Texts per kernel call. The largest temporaries are the (n, n, block)
 # common-prefix table and one comparison of its size, at a byte per cell,
 # and the (chain, n, block) containment test. Peak RSS (VmHWM) of the
-# exhaustive sweep to length 14, against 28.9 MB after importing netoccs
-# (2-vCPU x86_64 VM, Python 3.11.7, numpy 2.4.6): 29.9 MB in 0.03 s with
-# blocks of 512 texts or of 1,024, 30.6-30.7 MB with 2,048, 32.5 MB with
-# 4,096 and 41.6 MB with all 16,384 in one call, for no gain in time.
+# exhaustive sweep to length 14 when it ran every text, against 28.9 MB
+# after importing netoccs (2-vCPU x86_64 VM, Python 3.11.7, numpy 2.4.6):
+# 29.9 MB in 0.03 s with blocks of 512 texts or of 1,024, 30.6-30.7 MB with
+# 2,048, 32.5 MB with 4,096 and 41.6 MB with all 16,384 in one call, for no
+# gain in time.
 _BLOCK = 1024
 
 _TO_BITS = str.maketrans("ab", "01")
@@ -395,17 +396,27 @@ def _code_dtype(n: int) -> np.dtype:
     return np.min_scalar_type((1 << n) - 1)
 
 
+def _text(code: int, n: int) -> str:
+    return format(code, f"0{n}b").translate(_TO_TEXT)
+
+
 # (n, codes, sample numbers): texts of length n and their places in the run
 _Blocks = Iterator[tuple[int, np.ndarray, np.ndarray]]
 
 
 def _exhaustive_blocks(max_len: int) -> _Blocks:
-    """Every text of length 1..max_len, in the order of
-    ``product("ab", repeat=n)``, one block at a time."""
+    """Every text of length 1..max_len that starts with a, numbered in the
+    order of ``product("ab", repeat=n)``, one block at a time.
+
+    These are the codes below 2^(n-1). The rest are their complements (a and
+    b swapped, code 2^n - 1 - c), which the kernel need not see: every array
+    it returns depends only on which positions hold equal letters, so a text
+    and its complement get the same results."""
     first = 0
     for n in range(1, max_len + 1):
-        for lo in range(0, 1 << n, _BLOCK):
-            hi = min(lo + _BLOCK, 1 << n)
+        half = 1 << (n - 1)
+        for lo in range(0, half, _BLOCK):
+            hi = min(lo + _BLOCK, half)
             yield n, np.arange(lo, hi, dtype=_code_dtype(n)), np.arange(first + lo, first + hi)
         first += 1 << n
 
@@ -427,10 +438,12 @@ def _sampled_blocks(seed: int, samples: int, max_len: int) -> _Blocks:
 
 
 # Each extra letter doubles an exhaustive sweep and adds a little to each
-# text's cost. In-process on the VM above, three runs each: length 16 in
-# 0.12-0.17 s, 18 in 0.59-0.87 s and 20 in 3.1-4.1 s, with peak RSS 30.0-30.7
-# MB (blocks bound the memory). At that growth length 22 would take about
-# 16 s, and 32 (2^33 texts) would never finish.
+# text's cost; the sweep runs the kernel on half the texts (those that start
+# with a). In-process on the VM above, one fresh process per run, three runs
+# each: length 14 in 0.018-0.029 s, 16 in 0.07-0.12 s, 18 in 0.35-0.51 s and
+# 20 in 1.8-2.5 s, with peak RSS 30.2-30.9 MB (blocks bound the memory). At
+# that growth length 22 would take about 10 s, and 32 (2^33 texts) would
+# never finish.
 EXHAUSTIVE_MAX_LEN = 20
 
 
@@ -448,7 +461,14 @@ def verify_onoc_lemma_random(
     checked as one bit-parallel numpy batch (``_containment_kernel``). Each
     text it flags is re-checked with ``check_onoc_containment``, which
     supplies the reported cover and offender; a flag that the per-text
-    route does not confirm raises RuntimeError."""
+    route does not confirm raises RuntimeError.
+
+    The exhaustive mode runs the kernel only on the texts that start with a
+    (``_exhaustive_blocks``) and counts each result for the text's
+    complement too, in ``samples`` and ``skipped``: swapping a and b leaves
+    every kernel result unchanged. A flagged text flags its complement, and
+    both are re-checked one by one. Violations are reported in the order of
+    ``product("ab", repeat=n)``, length by length."""
     started = time.perf_counter()
     cap = EXHAUSTIVE_MAX_LEN if exhaustive else 32
     if max_len > cap:
@@ -464,16 +484,20 @@ def verify_onoc_lemma_random(
         if max_len < 4:
             raise ValueError(f"verify_onoc_lemma_random: max_len {max_len} < 4 for sampling")
         blocks = _sampled_blocks(seed, samples, max_len)
+    copies = 2 if exhaustive else 1  # an exhaustive block's complements share its results
     total = 0
     skipped = 0
     flagged: list[tuple[int, str]] = []
     for n, codes, numbers in blocks:
         batch = _containment_kernel(codes, n)
         violated = batch.violated
-        total += len(codes)
-        skipped += len(codes) - int(np.count_nonzero(batch.has_cover))
+        total += copies * len(codes)
+        skipped += copies * (len(codes) - int(np.count_nonzero(batch.has_cover)))
         for number, code in zip(numbers[violated].tolist(), codes[violated].tolist()):
-            flagged.append((number, format(code, f"0{n}b").translate(_TO_TEXT)))
+            flagged.append((number, _text(code, n)))
+            if exhaustive:
+                twin = (1 << n) - 1 - code
+                flagged.append((number - code + twin, _text(twin, n)))
     violations = []
     for _, text in sorted(flagged):
         outcome = check_onoc_containment(text)

@@ -602,19 +602,92 @@ def test_kernel_matches_per_text_routes_on_sampled_texts():
     _assert_kernel_matches_containment(texts)
 
 
+def _widen_two_letters(start, end, n):
+    """A planted widening: two positions on each side, clipped to the text."""
+    return np.maximum(start - 2, 1), np.minimum(end + 2, n)
+
+
 # SHA-256 over the five _Batch arrays, as bytes in field order, block by
-# block of _exhaustive_blocks(14) with blocks of 1,024 texts; computed with
-# the per-length substring-count kernel this one replaced.
+# block of every code of each length 1..14, in blocks of 1,024 texts;
+# computed with the per-length substring-count kernel this one replaced.
 _KERNEL_DIGEST = "c72dda949dfbb9e870721361692de072497b05c026ae99a8bff42086c2e783a8"
 
 
-def test_kernel_arrays_match_the_pinned_digest(monkeypatch):
-    monkeypatch.setattr(verifier, "_BLOCK", 1024)
+def _code_blocks(n: int, size: int):
+    """Every code of length n, in order, in blocks of ``size`` codes."""
+    for lo in range(0, 1 << n, size):
+        yield np.arange(lo, min(lo + size, 1 << n), dtype=verifier._code_dtype(n))
+
+
+def test_kernel_arrays_match_the_pinned_digest():
     digest = hashlib.sha256()
-    for n, codes, _ in verifier._exhaustive_blocks(14):
-        for array in verifier._containment_kernel(codes, n):
-            digest.update(array.tobytes())
+    for n in range(1, 15):
+        for codes in _code_blocks(n, 1024):
+            for array in verifier._containment_kernel(codes, n):
+                digest.update(array.tobytes())
     assert digest.hexdigest() == _KERNEL_DIGEST
+
+
+def _complement_asymmetries(max_len: int) -> list[tuple[int, str]]:
+    """(n, field) for each _Batch array that differs, at some text of length
+    n <= max_len, from the same array at the text's complement."""
+    kernel = verifier._containment_kernel
+    asymmetric = set()
+    for n in range(1, max_len + 1):
+        for codes in _code_blocks(n, 4096):
+            pairs = zip(verifier._Batch._fields, kernel(codes, n), kernel((1 << n) - 1 - codes, n))
+            asymmetric.update((n, name) for name, ours, twins in pairs if not np.array_equal(ours, twins))
+    return sorted(asymmetric)
+
+
+def test_kernel_results_are_those_of_the_complement():
+    """The halved exhaustive sweep rests on this: swapping a and b changes
+    none of the kernel's arrays, on any text of length <= 16."""
+    assert _complement_asymmetries(16) == []
+
+
+def test_complement_check_catches_an_asymmetric_kernel(monkeypatch):
+    true_kernel = verifier._containment_kernel
+
+    def planted(codes, n):  # flags every text that starts with b
+        batch = true_kernel(codes, n)
+        return batch._replace(violated=batch.violated | (codes >> (n - 1) == 1))
+
+    monkeypatch.setattr(verifier, "_containment_kernel", planted)
+    assert _complement_asymmetries(4) == [(n, "violated") for n in range(1, 5)]
+
+
+def test_exhaustive_blocks_hold_the_texts_that_start_with_a():
+    blocks = list(verifier._exhaustive_blocks(12))
+    assert all(int(codes.max()) < 1 << (n - 1) for n, codes, _ in blocks)
+    numbers = np.concatenate([numbers for _, _, numbers in blocks])
+    texts = _all_texts(12)
+    assert [texts[i] for i in numbers] == [t for t in texts if t[0] == "a"]
+
+
+_CONSTANT_WITNESS = ((Occurrence(1, 1),), Occurrence(1, 1))
+
+
+@pytest.mark.parametrize("widening", [onoc.widen, _widen_two_letters], ids=["true", "planted"])
+def test_halved_sweep_reports_what_a_full_one_does(widening, monkeypatch):
+    """For each max_len 1..16 the sweep over the texts that start with a
+    reports the counts and the flagged texts, in order, of a kernel pass
+    over every text. The per-text route is replaced by a constant witness,
+    so the planted widening's many flags cost no oracle run."""
+    monkeypatch.setattr(verifier, "widen", widening)
+    monkeypatch.setattr(verifier, "check_onoc_containment", lambda text: _CONSTANT_WITNESS)
+    samples = skipped = 0
+    flagged = []
+    for n in range(1, 17):  # the full pass over length n, then the sweep to n
+        for codes in _code_blocks(n, 4096):
+            batch = verifier._containment_kernel(codes, n)
+            samples += len(codes)
+            skipped += int(np.count_nonzero(~batch.has_cover))
+            flagged += [format(c, f"0{n}b").translate(str.maketrans("01", "ab")) for c in codes[batch.violated]]
+        report = verify_onoc_lemma_random(0, 1, n, exhaustive=True)
+        assert (report.samples, report.tested(), report.skipped) == (samples, samples - skipped, skipped)
+        assert report.violations == tuple((text, *_CONSTANT_WITNESS) for text in flagged), n
+    assert bool(flagged) == (widening is _widen_two_letters)
 
 
 def test_kernel_comparison_catches_a_missed_flag(monkeypatch):
@@ -629,11 +702,6 @@ def test_kernel_comparison_catches_a_missed_flag(monkeypatch):
     monkeypatch.setattr(verifier, "check_onoc_containment", planted)
     with pytest.raises(AssertionError, match="aaaaa"):
         _assert_kernel_matches_containment(_all_texts(6))
-
-
-def _widen_two_letters(start, end, n):
-    """A planted widening: two positions on each side, clipped to the text."""
-    return np.maximum(start - 2, 1), np.minimum(end + 2, n)
 
 
 def test_kernel_flags_the_violations_of_a_planted_widening(monkeypatch):
@@ -703,8 +771,8 @@ def test_flagged_text_reports_the_per_text_witness(monkeypatch):
 
     monkeypatch.setattr(verifier, "check_onoc_containment", witnessing_check)
     report = verify_onoc_lemma_random(seed=0, samples=0, max_len=5, exhaustive=True)
-    assert checked == ["abba"]
-    assert report.violations == (("abba", *witness),)
+    assert checked == ["abba", "baab"]  # the flagged text and its complement
+    assert report.violations == (("abba", *witness), ("baab", *witness))
     assert not report.ok()
 
     # sampled texts are checked grouped by length but reported in sample order
