@@ -234,7 +234,7 @@ def _parse_cover(raw: str) -> list[Occurrence]:
 def _cmd_onoc_check(args) -> int:
     text = read_word_file(args.text)
     cover = _parse_cover(args.cover)
-    report = prove_completeness(text, cover)
+    report = prove_completeness(text, cover, [rec.occurrence for rec in net_occurrences_bruteforce(text)])
     payload = report.to_json_dict()
     payload["complete"] = report.complete()
     lines = [

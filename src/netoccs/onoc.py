@@ -9,9 +9,11 @@ such bridging super-occurrence proves a cover complete.
 
 This module defines each of those facts once: ``is_onoc`` the cover,
 ``bnso_set`` the BNSOs, ``widen`` the widened bounds and ``bridging`` the
-widened containment. The literal route, which enumerates every bridging
-super-occurrence rectangle, lives with the tests in ``tests/reference.py``
-and shares no code with this one.
+widened containment. It runs no net-occurrence engine: ``greedy_onoc`` and
+``prove_completeness`` take the text's net occurrences from their caller.
+The literal route, which enumerates every bridging super-occurrence
+rectangle, lives with the tests in ``tests/reference.py`` and shares no
+code with this one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .netfreq import net_occurrences_bruteforce
 from .occurrences import Occurrence, is_net_occurrence
 
 
@@ -85,28 +86,21 @@ def bridging(
 
 
 def prove_completeness(
-    text: str,
-    cover: Sequence[Occurrence],
-    net_occs: Sequence[Occurrence] | None = None,
+    text: str, cover: Sequence[Occurrence], net_occs: Sequence[Occurrence]
 ) -> CompletenessReport:
     """Validate a cover, find the net occurrences that are bridging
-    super-occurrences of its BNSOs, and cross-check the cover against the
-    brute-force enumerator. Invalid covers are reported, not raised.
+    super-occurrences of its BNSOs, and cross-check the cover against
+    ``net_occs``, the text's net occurrences in any order. Invalid covers
+    are reported, not raised.
 
     Keeping the net occurrences that contain a widened BNSO gives the same
     set as enumerating every bridging super-occurrence and testing each,
     without the quadratic candidate scan.
-
-    ``net_occs`` is the text's net occurrences from the brute-force
-    enumerator, for a caller that already holds them; without it the
-    enumerator is run here.
     """
     try:
         valid = is_onoc(text, cover)
     except ValueError:  # empty cover, or a member past the end of the text
         valid = False
-    if net_occs is None:
-        net_occs = [rec.occurrence for rec in net_occurrences_bruteforce(text)]
     oracle = tuple(sorted(net_occs))
     bnsos = bnso_set(cover) if valid else ()
     return CompletenessReport(
@@ -117,15 +111,14 @@ def prove_completeness(
     )
 
 
-def greedy_onoc(text: str, net_occs: Sequence[Occurrence] | None = None) -> tuple[Occurrence, ...] | None:
-    """Find an ONOC among the text's net occurrences, or None.
+def greedy_onoc(text: str, net_occs: Sequence[Occurrence]) -> tuple[Occurrence, ...] | None:
+    """Find an ONOC among ``net_occs``, the text's net occurrences in any
+    order, or None.
 
     Net occurrences never nest, so sorting by start also sorts by end; the
     furthest-reaching chain is found greedily and succeeds whenever any
     chain does.
     """
-    if net_occs is None:
-        net_occs = [rec.occurrence for rec in net_occurrences_bruteforce(text)]
     occs = sorted(net_occs)
     if not occs or occs[0].start != 1:
         return None

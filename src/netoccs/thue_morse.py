@@ -188,16 +188,6 @@ def repetition_free(text: str) -> tuple[bool, bool]:
     return overlap_free, True
 
 
-def is_overlap_free(text: str) -> bool:
-    """No substring of length 2d+1 with period d (no two occurrences of a string overlap)."""
-    return repetition_free(text)[0]
-
-
-def is_cube_free(text: str) -> bool:
-    """No substring of the form www with w nonempty."""
-    return repetition_free(text)[1]
-
-
 def check_tm_identities(i: int) -> dict[str, ClaimResult]:
     """Literal concatenation checks of the four re-splitting identities,
     plus one quadratic overlap-/cube-freeness scan (gated to i <= 12)."""

@@ -12,9 +12,10 @@ claim that needs it: the oracle run in ``net_occurrences_match_prediction``.
 The property suite is the third definition-level route, beside the
 brute-force oracle and the suffix-array engine: it encodes each text of
 length n as an n-bit integer and checks a whole block of texts with numpy
-array operations, counting substrings, net occurrences, the greedy cover
-and the widened containment directly from their definitions. Only the
-texts it flags are re-checked one by one through the oracle.
+array operations: it reads the net occurrences off the row maxima of a
+common-prefix table, and finds the greedy cover and tests the widened
+containment directly from their definitions. Only the texts it flags are
+re-checked one by one through the oracle.
 """
 
 from __future__ import annotations
@@ -302,13 +303,12 @@ def check_onoc_containment(text: str) -> tuple[tuple[Occurrence, ...], Occurrenc
 
 
 # Texts per kernel call. The largest temporaries are the (n, n, block)
-# common-prefix table and one comparison of its size, at a byte per cell,
-# and the (chain, n, block) containment test. Peak RSS (VmHWM) of the
-# exhaustive sweep to length 14 when it ran every text, against 28.9 MB
-# after importing netoccs (2-vCPU x86_64 VM, Python 3.11.7, numpy 2.4.6):
-# 29.9 MB in 0.03 s with blocks of 512 texts or of 1,024, 30.6-30.7 MB with
-# 2,048, 32.5 MB with 4,096 and 41.6 MB with all 16,384 in one call, for no
-# gain in time.
+# common-prefix table, at a byte per cell, and the (chain, n, block)
+# containment test. Peak RSS (VmHWM) of the exhaustive sweep to length 14
+# when it ran every text, against 28.9 MB after importing netoccs (2-vCPU
+# x86_64 VM, Python 3.11.7, numpy 2.4.6): 29.9 MB in 0.03 s with blocks
+# of 512 texts or of 1,024, 30.6-30.7 MB with 2,048, 32.5 MB with 4,096 and
+# 41.6 MB with all 16,384 in one call, for no gain in time.
 _BLOCK = 1024
 
 _TO_BITS = str.maketrans("ab", "01")
@@ -343,28 +343,24 @@ def _containment_kernel(codes: np.ndarray, n: int) -> _Batch:
     A text is its n-bit code: a = 0, b = 1, first letter in the top bit.
     Returns, per text, its net occurrences, the greedy ONOC's members,
     whether that cover exists, and whether some net occurrence outside it
-    contains no widened BNSO. This route counts substrings directly, from
-    one all-pairs common-prefix table built from the letter bits in O(n^2)
-    per text; it shares no code with either net-occurrence engine. Texts
-    are the last, contiguous axis of every array, which keeps each numpy
-    call one long vector loop.
+    contains no widened BNSO. This route reads each start's longest repeat
+    off one all-pairs common-prefix table, built from the letter bits in
+    O(n^2) per text; it shares no code with either net-occurrence engine.
+    Texts are the last, contiguous axis of every array, which keeps each
+    numpy call one long vector loop.
     """
     cols = np.arange(len(codes), dtype=np.int32)
     pos = np.arange(n, dtype=np.int8)[:, None]
     lcp = _common_prefix_table(codes, n)
-
-    def elsewhere(rows: np.ndarray, length: np.ndarray) -> np.ndarray:  # other occurrences
-        return (rows >= length[:, None]).sum(axis=1, dtype=np.int8)
-
-    # The substring of length l at p occurs at each q whose common prefix with
-    # p reaches l; none does past the end of the text. The longest repeated
-    # length R[p] is the maximum of row p.
+    # The substring of length l at p occurs again at each q whose common
+    # prefix with p reaches l, so R[p], the maximum of row p, is the longest
+    # length repeated at p. The candidate at p has length R[p]: it repeats
+    # when R[p] > 0, and its right extension never does. Its left extension,
+    # the R[p] + 1 letters at p - 1, repeats iff row p - 1 reaches R[p] + 1,
+    # that is iff R[p - 1] > R[p]; at p = 0 it falls off the text.
     longest = lcp.max(axis=1)
-    own = elsewhere(lcp, longest)
-    right = elsewhere(lcp, longest + 1)
-    left = np.zeros_like(right)  # the left extension of p = 0 falls off
-    left[1:] = elsewhere(lcp[:-1], longest[1:] + 1)
-    net = (longest > 0) & (own >= 1) & (left == 0) & (right == 0)
+    net = longest > 0
+    net[1:] &= longest[:-1] <= longest[1:]
     ends = pos + longest  # 1-based end of the candidate at 0-based p
 
     # Greedy chain, as in greedy_onoc: a net occurrence's successor is the

@@ -30,10 +30,9 @@ from netoccs.thue_morse import (
     ab_steps,
     factorization_basis_ok,
     factorization_boundary_ok,
-    is_cube_free,
-    is_overlap_free,
     jacobsthal,
     predicted_tm_net_occurrences,
+    repetition_free,
     smallest_factorization,
     target_scans,
     validate_smallest_factorization,
@@ -191,9 +190,7 @@ def test_criterion_09_structural_word_facts_hold():
     and bb; each Fibonacci word occurs in its successor only at position 1
     and exactly twice in its own square."""
     for i in range(1, 13):
-        word = tm_word(i)
-        assert is_overlap_free(word), i
-        assert is_cube_free(word), i
+        assert repetition_free(tm_word(i)) == (True, True), i
     for i in range(1, 21):
         word = fib_word(i)
         assert "aaa" not in word and "bb" not in word, i

@@ -22,10 +22,9 @@ from netoccs.thue_morse import (
     check_tm_identities,
     factorization_basis_ok,
     factorization_boundary_ok,
-    is_cube_free,
-    is_overlap_free,
     jacobsthal,
     predicted_tm_net_occurrences,
+    repetition_free,
     smallest_factorization,
     target_scans,
     validate_smallest_factorization,
@@ -221,14 +220,14 @@ def test_tm_identities_skip_freeness_scan_at_large_orders():
 
 
 def test_freeness_scans():
-    assert is_overlap_free("abba")
-    assert not is_overlap_free("aaa")
-    assert not is_overlap_free("ababa")
-    assert is_cube_free("abab")
-    assert not is_cube_free("aaa")
-    assert not is_cube_free("ababab")
-    assert is_overlap_free(tm_word(8))
-    assert is_cube_free(tm_word(8))
+    assert repetition_free("abba")[0]
+    assert not repetition_free("aaa")[0]
+    assert not repetition_free("ababa")[0]
+    assert repetition_free("abab")[1]
+    assert not repetition_free("aaa")[1]
+    assert not repetition_free("ababab")[1]
+    assert repetition_free(tm_word(8))[0]
+    assert repetition_free(tm_word(8))[1]
 
 
 def _has_overlap(text):
@@ -253,8 +252,8 @@ def test_freeness_scans_match_their_definitions():
     texts = ["".join(letters) for n in range(13) for letters in product("ab", repeat=n)]
     texts += [tm_word(i) for i in range(1, 11)] + [fib_word(i) for i in range(1, 15)]
     for text in texts:
-        assert is_overlap_free(text) == (not _has_overlap(text)), text
-        assert is_cube_free(text) == (not _has_cube(text)), text
+        assert repetition_free(text)[0] == (not _has_overlap(text)), text
+        assert repetition_free(text)[1] == (not _has_cube(text)), text
 
 
 def test_smallest_factorization_bases():

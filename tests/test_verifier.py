@@ -119,7 +119,6 @@ def test_sweeps_run_the_oracle_once_per_order(monkeypatch):
         return net_occurrences_bruteforce(text)
 
     monkeypatch.setattr(verifier, "net_occurrences_bruteforce", counting_oracle)
-    monkeypatch.setattr(onoc, "net_occurrences_bruteforce", counting_oracle)
     assert verify_fibonacci(10).all_passed()
     assert calls == [fib_word(i) for i in range(7, 11)]
     calls.clear()
