@@ -11,7 +11,7 @@ import json
 import sys
 
 from .netfreq import net_occurrences_bruteforce, net_occurrences_indexed
-from .occurrences import Occurrence, mask_positions
+from .occurrences import Occurrence, bit_positions, mask_bits
 from .onoc import prove_completeness
 from .thue_morse import (
     ab_sets,
@@ -129,10 +129,10 @@ def _cmd_occ_sets(args) -> int:
     # One (label, recurrence, direct scan) row per position set: the θ set,
     # or the a and b sets of a Thue-Morse target and its flip.
     if args.family == "fib":
-        rows = [("", theta_set(i, j), theta_scans(i, range(j, j + 1))[j])]
+        rows = [("", theta_set(i, j), bit_positions(theta_scans(i, range(j, j + 1))[j]))]
     else:
-        sets, (a_mask, b_mask) = ab_sets(i, j), target_scans(i, range(j, j + 1))[j]
-        rows = [("a", sets.a_set, mask_positions(a_mask)), ("b", sets.b_set, mask_positions(b_mask))]
+        sets, masks = ab_sets(i, j), target_scans(i, range(j, j + 1))[j]
+        rows = [(k, s, bit_positions(mask_bits(m))) for k, s, m in zip("ab", (sets.a_set, sets.b_set), masks)]
     equal = all(recurrence == oracle for _, recurrence, oracle in rows)
     payload = {"family": args.family, "order": i, "j": j}
     text_lines = []

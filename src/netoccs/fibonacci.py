@@ -11,7 +11,8 @@ Covers three groups of machine-checkable facts about fib_word(i):
   together with the predicted net occurrence list itself.
 
 Checks return flat claim maps so callers can serialize them uniformly. The
-recurrence checks and the lemmas read one theta_scans table per order.
+steps and theta_scans hold bit sets (see occurrences); theta_set returns a
+tuple. The recurrence checks and the lemmas read one theta_scans per order.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator
 
-from .occurrences import Occurrence, PositionSet, Step, find_occurrences, shift_positions
-from .occurrences import mask_positions, occurrence_masks
+from .occurrences import Occurrence, PositionSet, Step, bit_positions, find_occurrences
+from .occurrences import mask_bits, occurrence_masks
 from .reports import ClaimResult, same_word
 from .words import FIB_MAX_ORDER, delta, fib_length, fib_length_ext, fib_word, q_word
 
@@ -35,18 +36,18 @@ def _check_theta_domain(i: int, j: int) -> None:
 def theta_steps(i: int) -> Iterator[Step]:
     """The recurrence steps for the starting positions of fib_word(i-j)
     inside fib_word(i), offsets 0..i-4 in turn; the order is checked on the
-    call. Offset 0 is the base (1,). Each later step's pieces are the
+    call. Offset 0 is the base {1}. Each later step's pieces are the
     previous level, the level before it (empty before offset 0) shifted by
-    fib_length(i-j), and the rightmost position as a 1-tuple at even offsets
+    fib_length(i-j), and the rightmost position alone at even offsets
     (empty at odd ones); no two pieces meet. Only two levels are kept."""
     _check_theta_domain(i, 0)
 
     def steps() -> Iterator[Step]:
-        back, prev = (), (1,)
-        yield Step((prev, (), ()))
+        back, prev = 0, 1 << 1
+        yield Step((prev, 0, 0))
         for j in range(1, i - 3):
-            rightmost = (fib_length(i) - fib_length(i - j) + 1,) if j % 2 == 0 else ()
-            step = Step((prev, shift_positions(back, fib_length(i - j)), rightmost))
+            rightmost = 1 << (fib_length(i) - fib_length(i - j) + 1) if j % 2 == 0 else 0
+            step = Step((prev, back << fib_length(i - j), rightmost))
             yield step
             back, prev = prev, step.union()
 
@@ -57,17 +58,17 @@ def theta_set(i: int, j: int) -> PositionSet:
     """Starting positions of fib_word(i-j) inside fib_word(i), 0 <= j <= i-4:
     the union of the recurrence step at offset j, built from offset 0 up."""
     _check_theta_domain(i, j)
-    return next(islice(theta_steps(i), j, None)).union()
+    return bit_positions(next(islice(theta_steps(i), j, None)).union())
 
 
-def theta_scans(i: int, offsets: range) -> dict[int, PositionSet]:
-    """Direct scans: the 1-based starts of fib_word(i-j) in fib_word(i) for the offsets j in
+def theta_scans(i: int, offsets: range) -> dict[int, int]:
+    """Direct scans: the bit sets of the starts of fib_word(i-j) in fib_word(i) for the offsets j in
     ``offsets``, from one mask table built by fib_k = fib_{k-1} fib_{k-2} up to the longest."""
     if not (3 <= i <= FIB_MAX_ORDER and 0 <= offsets.start < offsets.stop <= i):
         raise ValueError(f"theta_scans: order {i} not in 3..{FIB_MAX_ORDER} or {offsets} not in 0..{i - 1}")
     splits = [(fib_word(k), fib_word(k - 1), fib_word(k - 2)) for k in range(3, i - offsets.start + 1)]
     masks = occurrence_masks(fib_word(i), splits, {fib_word(i - j) for j in offsets})
-    return {j: mask_positions(masks[fib_word(i - j)]) for j in offsets}
+    return {j: mask_bits(masks[fib_word(i - j)]) for j in offsets}
 
 
 def theta_max_position(i: int, j: int) -> int:
@@ -78,12 +79,12 @@ def theta_max_position(i: int, j: int) -> int:
     return fib_length(i) - fib_length(ref) + 1
 
 
-def theta_step_ok(i: int, j: int, step: Step, scan: PositionSet) -> bool:
+def theta_step_ok(i: int, j: int, step: Step, scan: int) -> bool:
     """Verify ``step``, the recurrence step at (i, j), against ``scan``, the
-    direct scan of fib_word(i-j) in fib_word(i): the pieces are pairwise
-    disjoint, their union is the scan, and its max matches the
+    bit set of the direct scan of fib_word(i-j) in fib_word(i): the pieces
+    are pairwise disjoint, their union is the scan, and its max matches the
     parity-dependent closed form."""
-    return max(scan, default=0) == theta_max_position(i, j) and step.matches(scan)
+    return scan.bit_length() - 1 == theta_max_position(i, j) and step.matches(scan)
 
 
 def theta_count(i: int, j: int) -> int:
@@ -167,7 +168,7 @@ def check_fib_identities(i: int) -> dict[str, ClaimResult]:
     return claims
 
 
-def check_fib_lemmas(i: int, scans: dict[int, PositionSet]) -> dict[str, ClaimResult]:
+def check_fib_lemmas(i: int, scans: dict[int, int]) -> dict[str, ClaimResult]:
     """Exhaustive oracle checks of the occurrence-position, follower, and
     uniqueness lemmas behind the net occurrence characterization (i >= 7).
     The starts of fib_word(i-1..i-3) come from ``scans``, a ``theta_scans``."""
@@ -176,12 +177,13 @@ def check_fib_lemmas(i: int, scans: dict[int, PositionSet]) -> dict[str, ClaimRe
     word = fib_word(i)
     L = fib_length
     core = fib_word(i - 2) + q_word(i)
+    starts = {k: bit_positions(scans[k]) for k in (1, 2, 3)}
     claims: dict[str, ClaimResult] = {}
     for name, found, expected in (
         ("square_two_occurrences", find_occurrences(word, word + word), (1, L(i) + 1)),
-        ("previous_only_at_1", scans[1], (1,)),
-        ("second_previous_positions", scans[2], (1, L(i - 2) + 1, L(i - 1) + 1)),
-        ("third_previous_positions", scans[3], (1, L(i - 3) + 1, L(i - 2) + 1, L(i - 1) + 1)),
+        ("previous_only_at_1", starts[1], (1,)),
+        ("second_previous_positions", starts[2], (1, L(i - 2) + 1, L(i - 1) + 1)),
+        ("third_previous_positions", starts[3], (1, L(i - 3) + 1, L(i - 2) + 1, L(i - 1) + 1)),
         ("core_block_positions", find_occurrences(core, word), (1, L(i - 2) + 1)),
     ):
         claims[name] = ClaimResult(found == expected, witness=list(found))
@@ -189,7 +191,7 @@ def check_fib_lemmas(i: int, scans: dict[int, PositionSet]) -> dict[str, ClaimRe
     # q_word(6) is not defined; the truncated suffix word degenerates to the
     # empty word there, making the follower claim vacuous at order 7.
     follower = q_word(i - 1) if i >= 8 else ""
-    ok, bad = _followed_by(word, scans[3], L(i - 3), follower, require_room=True)
+    ok, bad = _followed_by(word, starts[3], L(i - 3), follower, require_room=True)
     claims["third_previous_follower"] = ClaimResult(ok, witness=bad)
 
     extended = fib_word(i - 3) + fib_word(i - 6) + fib_word(i - 5)

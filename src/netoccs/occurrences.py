@@ -6,6 +6,10 @@ An occurrence is a 1-based inclusive interval (start, end) of a text. It is a
 net occurrence when the covered substring is repeated in the text while both
 its one-letter extensions are unique; an extension that would fall off either
 end of the text counts as unique.
+
+Inside the package a position set is a bit set, an int with bit p set iff it
+holds the 1-based start p; ``bit_positions`` turns one into the increasing
+tuple (``PositionSet``) that the public functions return.
 """
 
 from __future__ import annotations
@@ -17,38 +21,28 @@ import numpy as np
 PositionSet = tuple[int, ...]
 
 
-def shift_positions(positions: PositionSet, d: int) -> PositionSet:
-    """Translate every position by d."""
-    return tuple(map(d.__add__, positions))
-
-
-def merge_positions(*sets: PositionSet) -> PositionSet:
-    """Exact set union, returned strictly increasing."""
-    return tuple(sorted(set().union(*sets)))
-
-
 @dataclass(frozen=True, slots=True)
 class Step:
-    """One step of a position-set recurrence: the set is the union of three
-    pieces (the last may be empty), merged once when the step is built; the
-    first two meet exactly in ``overlap``, every other pair is disjoint."""
+    """One step of a position-set recurrence: the bit set is the union of
+    three pieces (the last may be 0), merged once when the step is built;
+    the first two meet exactly in ``overlap``, the third meets neither."""
 
-    pieces: tuple[PositionSet, PositionSet, PositionSet]
-    overlap: PositionSet = ()
-    merged: PositionSet = field(init=False, repr=False, compare=False)
+    pieces: tuple[int, int, int]
+    overlap: int = 0
+    merged: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "merged", merge_positions(*self.pieces))
+        first, second, third = self.pieces
+        object.__setattr__(self, "merged", first | second | third)
 
-    def union(self) -> PositionSet:
+    def union(self) -> int:
         return self.merged
 
-    def matches(self, scan: PositionSet) -> bool:
+    def matches(self, scan: int) -> bool:
         """Every clause of the step holds and the union is ``scan``, a
         direct scan of the set."""
-        first, second, third = map(set, self.pieces)
-        disjoint = third.isdisjoint(first) and third.isdisjoint(second)
-        return self.union() == scan and tuple(sorted(first & second)) == self.overlap and disjoint
+        first, second, third = self.pieces
+        return self.merged == scan and first & second == self.overlap and not third & (first | second)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -98,9 +92,15 @@ def occurrence_masks(text: str, splits: list[tuple[str, str, str]], keep: set[st
     return {word: masks[word] for word in keep}
 
 
-def mask_positions(mask: np.ndarray) -> PositionSet:
-    """The 1-based positions where a start mask is set."""
-    return tuple((np.flatnonzero(mask) + 1).tolist())
+def mask_bits(mask: np.ndarray) -> int:
+    """The bit set of a start mask: bit p + 1 is set where ``mask[p]`` is."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little") << 1
+
+
+def bit_positions(bits: int) -> PositionSet:
+    """The 1-based positions of a bit set, in increasing order."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
+    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
 
 
 def occurs_elsewhere(text: str, s0: int, m: int) -> bool:

@@ -4,8 +4,9 @@ Four groups of machine-checkable facts about tm_word(i):
 
 * mutual recurrences for the starting positions of tm_word(i-j) and its
   letterwise flip inside tm_word(i), with explicit overlap sets at each
-  step, read offset by offset from one generator that keeps three levels,
-  plus the Jacobsthal-style count recurrences;
+  step, read offset by offset from one generator that keeps three levels of
+  (a, b) bit-set pairs (see occurrences), plus the Jacobsthal-style count
+  recurrences; ab_sets turns its pair into the tuples of an OccurrenceSets;
 * the nine predicted net occurrences (three pattern words and their
   flips at fixed positions);
 * re-splitting identities (4, 5 and 9 blocks) and the overlap-/cube-
@@ -36,14 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .occurrences import (
-    Occurrence,
-    PositionSet,
-    Step,
-    merge_positions,
-    occurrence_masks,
-    shift_positions,
-)
+from .occurrences import Occurrence, PositionSet, Step, bit_positions, occurrence_masks
 from .reports import ClaimResult, same_word
 from .words import (
     TM_MAX_ORDER,
@@ -80,17 +74,18 @@ def _check_ab_domain(i: int, j: int) -> None:
 def ab_steps(i: int) -> Iterator[tuple[Step, Step]]:
     """The recurrence steps for the a set and the b set of tm_word(i),
     offsets 0..i-2 in turn; the order is checked on the call. Offset 0 is
-    the base: a set (1,), b set empty. At each later offset, each set's
+    the base: a set {1}, b set empty. At each later offset, each set's
     pieces are its own previous level, the other set's previous level
     shifted by tm_length(i-j), and its own level two back shifted further;
     the overlap of the first two comes from three levels back. Levels
-    before offset 0 are empty; only the last three are kept."""
+    before offset 0 are empty; only the last three are kept, each as the
+    (a, b) pair of bit sets."""
     _check_ab_domain(i, 0)
 
     def steps() -> Iterator[tuple[Step, Step]]:
-        deep = back = OccurrenceSets((), ())
-        prev = OccurrenceSets((1,), ())
-        yield Step((prev.a_set, (), ())), Step((prev.b_set, (), ()))
+        deep = back = (0, 0)
+        prev = (1 << 1, 0)
+        yield Step((prev[0], 0, 0)), Step((prev[1], 0, 0))
         for j in range(1, i - 1):
             near = tm_length(i - j)
             far = near + tm_length(i - (j + 1))
@@ -98,15 +93,12 @@ def ab_steps(i: int) -> Iterator[tuple[Step, Step]]:
             wide = tm_length(i - (j - 2))
 
             def step(prev_own, prev_other, back_own, deep_own, deep_other) -> Step:
-                return Step(
-                    (prev_own, shift_positions(prev_other, near), shift_positions(back_own, far)),
-                    merge_positions(shift_positions(deep_own, mid), shift_positions(deep_other, wide)),
-                )
+                return Step((prev_own, prev_other << near, back_own << far), deep_own << mid | deep_other << wide)
 
-            a_step = step(prev.a_set, prev.b_set, back.a_set, deep.a_set, deep.b_set)
-            b_step = step(prev.b_set, prev.a_set, back.b_set, deep.b_set, deep.a_set)
+            a_step = step(prev[0], prev[1], back[0], deep[0], deep[1])
+            b_step = step(prev[1], prev[0], back[1], deep[1], deep[0])
             yield a_step, b_step
-            deep, back, prev = back, prev, OccurrenceSets(a_step.union(), b_step.union())
+            deep, back, prev = back, prev, (a_step.union(), b_step.union())
 
     return steps()
 
@@ -117,15 +109,15 @@ def ab_sets(i: int, j: int) -> OccurrenceSets:
     offset j, built from offset 0 up."""
     _check_ab_domain(i, j)
     a_step, b_step = next(islice(ab_steps(i), j, None))
-    return OccurrenceSets(a_step.union(), b_step.union())
+    return OccurrenceSets(bit_positions(a_step.union()), bit_positions(b_step.union()))
 
 
-def ab_step_ok(steps: tuple[Step, Step], scan: OccurrenceSets) -> bool:
+def ab_step_ok(steps: tuple[Step, Step], scan: tuple[int, int]) -> bool:
     """Verify ``steps``, the a and b recurrence steps at one offset, against
-    ``scan``, the direct scans of tm_word(i-j) (a_set) and its flip (b_set)
+    ``scan``, the bit sets of the direct scans of tm_word(i-j) and its flip
     in tm_word(i)."""
-    a_step, b_step = steps
-    return a_step.matches(scan.a_set) and b_step.matches(scan.b_set)
+    (a_step, b_step), (a_scan, b_scan) = steps, scan
+    return a_step.matches(a_scan) and b_step.matches(b_scan)
 
 
 def ab_counts(j_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -38,11 +38,10 @@ from .fibonacci import (
     theta_steps,
 )
 from .netfreq import NetOccurrenceRecord, net_occurrences_bruteforce, net_occurrences_indexed
-from .occurrences import Occurrence, mask_positions
+from .occurrences import Occurrence, mask_bits
 from .onoc import bnso_set, bridging, greedy_onoc, prove_completeness, widen
 from .reports import ClaimResult
 from .thue_morse import (
-    OccurrenceSets,
     ab_counts,
     ab_step_ok,
     ab_steps,
@@ -158,7 +157,7 @@ def _fib_claims(i: int) -> _Claims:
     steps = list(theta_steps(i))
     yield "theta_sets_match_oracle", _offset_table(range(i - 3), lambda j: steps[j].union() == scans[j])
     yield "theta_step_clauses", _offset_table(range(i - 3), lambda j: theta_step_ok(i, j, steps[j], scans[j]))
-    yield "theta_counts_match_oracle", _offset_table(range(i), lambda j: theta_count(i, j) == len(scans[j]))
+    yield "theta_counts_match_oracle", _offset_table(range(i), lambda j: theta_count(i, j) == scans[j].bit_count())
     yield "identities", _all_pass(check_fib_identities(i))
     yield "lemmas", _all_pass(check_fib_lemmas(i, scans))
     records = yield from _prediction_claims(word, predicted_fib_net_occurrences(i))
@@ -179,17 +178,17 @@ def _factorization_ok(i: int, j: int, kind: str, table: dict) -> bool:
 def _tm_claims(i: int) -> _Claims:
     word = tm_word(i)
     # The order's one table of direct scans of tm_word(i-j) and its flip, read
-    # by the recurrence steps (built in one pass) and the smallest
-    # factorizations; the steps' sizes are checked against the counts.
+    # as bit sets by the recurrence steps (built in one pass) and as masks by
+    # the factorizations; the steps' sizes are checked against the counts.
     table = target_scans(i, range(i))
-    scans = [OccurrenceSets(*map(mask_positions, table[j])) for j in range(i - 1)]
+    scans = [tuple(map(mask_bits, table[j])) for j in range(i - 1)]
     steps = list(ab_steps(i))
-    sets = [OccurrenceSets(a_step.union(), b_step.union()) for a_step, b_step in steps]
+    sets = [(a_step.union(), b_step.union()) for a_step, b_step in steps]
     a_seq, b_seq = ab_counts(i - 1)  # one past the recurrence's domain, for the top offset
     yield "occurrence_sets_match_oracle", _offset_table(range(i - 1), lambda j: sets[j] == scans[j])
     yield "recurrence_intersections", _offset_table(range(2, i - 1), lambda j: ab_step_ok(steps[j], scans[j]))
     yield "occurrence_counts_match", _offset_table(
-        range(i - 1), lambda j: (len(sets[j].a_set), len(sets[j].b_set)) == (a_seq[j], b_seq[j])
+        range(i - 1), lambda j: (sets[j][0].bit_count(), sets[j][1].bit_count()) == (a_seq[j], b_seq[j])
     )
     del scans, steps, sets  # before the order's heavier claims run
     # One offset past its domain the count recurrence disagrees with the word,
@@ -230,8 +229,8 @@ def _sweep(family: str, claims: Callable[[int], _Claims], first: int, last: int)
 # the factorization checks and the indexed engine. Each order costs about
 # 1.5x (Fibonacci) or 1.8x (Thue-Morse) the one before. Three runs each, one
 # per fresh process on a 2-vCPU x86_64 VM (Python 3.11.7, numpy 2.4.6):
-# verify_fibonacci(24) 0.16-0.20 s and verify_thue_morse(17) 0.28-0.39 s,
-# peak RSS (VmHWM) 39.7-40.2 MB and 42.6-42.7 MB.
+# verify_fibonacci(24) 0.11 s and verify_thue_morse(17) 0.22-0.31 s, peak RSS
+# (VmHWM) 34.9-35.0 MB and 38.2-38.3 MB.
 VERIFY_FIB_MAX_ORDER = 24
 VERIFY_TM_MAX_ORDER = 17
 
@@ -441,6 +440,10 @@ def _sampled_blocks(seed: int, samples: int, max_len: int) -> _Blocks:
 # that growth length 22 would take about 10 s, and 32 (2^33 texts) would
 # never finish.
 EXHAUSTIVE_MAX_LEN = 20
+# The sampled mode draws every text before it checks any: on the VM above, at
+# max_len 32, 10^4, 10^5 and 10^6 samples took 0.11, 0.90 and 9.3 s and peaked
+# at 31.5, 43.9 and 150 MB (one run each), so the cap keeps a run near 10 s.
+SAMPLED_MAX_SAMPLES = 1_000_000
 
 
 def verify_onoc_lemma_random(
@@ -449,9 +452,10 @@ def verify_onoc_lemma_random(
     """Check the ONOC containment property on random texts (iid uniform
     letters, lengths uniform on [4, max_len]) or exhaustively on all texts
     of length 1..max_len (seed and samples ignored, and reported as None).
-    Deterministic for a fixed seed. max_len must lie in [4, 32] when
-    sampling and in [1, EXHAUSTIVE_MAX_LEN] when exhaustive; any other value
-    raises ValueError before any text is built.
+    Deterministic for a fixed seed. max_len must lie in [4, 32] and samples
+    in [1, SAMPLED_MAX_SAMPLES] when sampling, and max_len in
+    [1, EXHAUSTIVE_MAX_LEN] when exhaustive; any other value raises
+    ValueError before any text is built.
 
     This is the third definition-level route: every text of one length is
     checked as one bit-parallel numpy batch (``_containment_kernel``). Each
@@ -475,8 +479,8 @@ def verify_onoc_lemma_random(
             raise ValueError(f"verify_onoc_lemma_random: exhaustive max_len {max_len} < 1")
         blocks = _exhaustive_blocks(max_len)
     else:
-        if samples < 1:
-            raise ValueError(f"verify_onoc_lemma_random: samples {samples} < 1")
+        if not 1 <= samples <= SAMPLED_MAX_SAMPLES:
+            raise ValueError(f"verify_onoc_lemma_random: samples {samples} not in 1..{SAMPLED_MAX_SAMPLES}")
         if max_len < 4:
             raise ValueError(f"verify_onoc_lemma_random: max_len {max_len} < 4 for sampling")
         blocks = _sampled_blocks(seed, samples, max_len)

@@ -51,3 +51,11 @@ def enumerate_bridging_supers(text: str, bnso: tuple[int, int]) -> list[tuple[in
         for e in range(s, n + 1)
         if s <= left and e >= right
     ]
+
+
+def bit_set(positions) -> int:
+    """The bit set of 1-based positions: bit p is set iff p is among them."""
+    out = 0
+    for p in positions:
+        out |= 1 << p
+    return out

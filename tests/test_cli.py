@@ -256,6 +256,18 @@ def test_verify_onoc_json_records_its_inputs(capsys):
     assert exhaustive["versions"] == VERSIONS
 
 
+def test_verify_onoc_refuses_samples_above_the_cap_before_drawing_a_text(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError(f"drew {args!r} despite the cap")
+
+    monkeypatch.setattr(verifier, "_sampled_blocks", never)
+    above = verifier.SAMPLED_MAX_SAMPLES + 1
+    assert run(["verify", "onoc", "--samples", str(above)]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith(f"error: verify_onoc_lemma_random: samples {above} not in") and err.count("\n") == 1
+
+
 def _run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

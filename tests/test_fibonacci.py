@@ -20,6 +20,7 @@ from netoccs.occurrences import Occurrence, find_occurrences
 from netoccs.reports import ClaimResult
 from netoccs.words import FIB_MAX_ORDER, fib_length, fib_word
 
+from reference import bit_set
 from reference import occurrences as ref_occurrences
 
 
@@ -37,8 +38,8 @@ def test_theta_set_frozen_values():
 
 @pytest.mark.parametrize("i", range(3, 25))
 def test_theta_scans_are_the_direct_scans(i):
-    assert theta_scans(i, range(i)) == {j: oracle_theta(i, j) for j in range(i)}
-    assert theta_scans(i, range(i - 1, i)) == {i - 1: oracle_theta(i, i - 1)}
+    assert theta_scans(i, range(i)) == {j: bit_set(oracle_theta(i, j)) for j in range(i)}
+    assert theta_scans(i, range(i - 1, i)) == {i - 1: bit_set(oracle_theta(i, i - 1))}
 
 
 def test_theta_scans_domain_errors():
@@ -76,16 +77,15 @@ def test_theta_step_structure(i):
     steps = list(theta_steps(i))
     assert len(steps) == i - 3
     for j in range(2, i - 3):
-        assert theta_step_ok(i, j, steps[j], oracle_theta(i, j))
-        assert not theta_step_ok(i, j, steps[j], oracle_theta(i, j)[1:])  # a scan that misses one
+        assert theta_step_ok(i, j, steps[j], bit_set(oracle_theta(i, j)))
+        assert not theta_step_ok(i, j, steps[j], bit_set(oracle_theta(i, j)[1:]))  # a scan that misses one
         prev, shifted, rightmost = steps[j].pieces
         if j % 2 == 0:
-            assert rightmost == (theta_max_position(i, j),)
+            assert rightmost == bit_set((theta_max_position(i, j),))
         else:
-            assert rightmost == ()
+            assert rightmost == 0
         # parts reassemble the set
-        pieces = set(prev) | set(shifted) | set(rightmost)
-        assert tuple(sorted(pieces)) == theta_set(i, j)
+        assert prev | shifted | rightmost == bit_set(theta_set(i, j))
 
 
 @pytest.mark.parametrize("i", range(6, 13))

@@ -3,17 +3,17 @@ import pickle
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from netoccs.occurrences import (
     Occurrence,
     Step,
+    bit_positions,
     find_occurrences,
     is_net_occurrence,
-    mask_positions,
-    merge_positions,
+    mask_bits,
     occurrence_masks,
-    shift_positions,
 )
 from netoccs.words import fib_word
 
@@ -21,20 +21,24 @@ import reference
 
 
 def test_position_set_helpers():
-    assert shift_positions((1, 4, 9), 5) == (6, 9, 14)
-    assert merge_positions((1, 3), (3, 7), (2,)) == (1, 2, 3, 7)
+    assert mask_bits(np.array([True, False, False, True, True])) == 0b110010
+    assert mask_bits(np.zeros(0, bool)) == mask_bits(np.zeros(9, bool)) == 0
+    assert bit_positions(0b110010) == (1, 4, 5)
+    assert bit_positions(0) == ()
+    assert bit_positions(1 << 4000 | 1 << 9) == (9, 4000)
 
 
 def test_step_refuses_each_clause_on_its_own():
-    step = Step(((1, 2), (2, 3), (4,)), (2,))
-    assert step.union() == (1, 2, 3, 4)
-    assert step.matches((1, 2, 3, 4))
-    assert not step.matches((1, 2, 3))  # the union is not the scan
-    assert not step.matches((1, 2, 3, 4, 5))
-    assert not Step(step.pieces).matches((1, 2, 3, 4))  # the overlap is wrong
-    assert not Step(((1, 2), (2, 3), (3,)), (2,)).matches((1, 2, 3))  # third meets second
-    assert not Step(((1, 2), (3,), (1,))).matches((1, 2, 3))  # third meets first
-    assert Step(((1, 2), (3,), ())).matches((1, 2, 3))  # an empty third piece
+    B = reference.bit_set
+    step = Step((B((1, 2)), B((2, 3)), B((4,))), B((2,)))
+    assert step.union() == B((1, 2, 3, 4))
+    assert step.matches(B((1, 2, 3, 4)))
+    assert not step.matches(B((1, 2, 3)))  # the union is not the scan
+    assert not step.matches(B((1, 2, 3, 4, 5)))
+    assert not Step(step.pieces).matches(B((1, 2, 3, 4)))  # the overlap is wrong
+    assert not Step((B((1, 2)), B((2, 3)), B((3,))), B((2,))).matches(B((1, 2, 3)))  # third meets second
+    assert not Step((B((1, 2)), B((3,)), B((1,)))).matches(B((1, 2, 3)))  # third meets first
+    assert Step((B((1, 2)), B((3,)), 0)).matches(B((1, 2, 3)))  # an empty third piece
 
 
 def test_occurrence_validation():
@@ -96,7 +100,7 @@ def test_occurrence_masks_match_find_occurrences_on_random_splits():
         assert masks.keys() == set(words)
         for word in words:
             assert masks[word].shape == (len(text),)
-            assert mask_positions(masks[word]) == find_occurrences(word, text), (text, word)
+            assert bit_positions(mask_bits(masks[word])) == find_occurrences(word, text), (text, word)
 
 
 def test_occurrence_masks_refuse_a_split_that_does_not_spell_its_word():
@@ -117,8 +121,8 @@ def test_occurrence_masks_drop_each_mask_after_its_last_read():
     finally:
         tracemalloc.stop()
     assert peak < 6 * len(text)
-    assert mask_positions(masks[fib_word(28)]) == find_occurrences(fib_word(28), text)
-    assert mask_positions(masks["b"]) == find_occurrences("b", text)
+    assert bit_positions(mask_bits(masks[fib_word(28)])) == find_occurrences(fib_word(28), text)
+    assert bit_positions(mask_bits(masks["b"])) == find_occurrences("b", text)
 
 
 def test_is_net_occurrence_basic():

@@ -1,6 +1,7 @@
 """Property-based tests over random binary texts."""
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -12,6 +13,7 @@ from netoccs.netfreq import (
     repeated_prefix_table,
     suffix_array,
 )
+from netoccs.occurrences import Step, bit_positions, mask_bits
 from netoccs.verifier import check_onoc_containment
 from netoccs.words import flip_word
 
@@ -119,3 +121,27 @@ def test_numpy_route_is_definitional(text):
         assert length == 0 or _repeated(text, text[s0 : s0 + length])
         assert s0 + length == n or not _repeated(text, text[s0 : s0 + length + 1])
     assert net_occurrences_indexed(text) == net_occurrences_bruteforce(text)
+
+
+@given(st.lists(st.booleans(), max_size=300))
+@example([])
+@example([True] + [False] * 8)
+@example([False] * 8 + [True])
+def test_mask_bits_round_trip_to_the_masks_positions(mask):
+    assert bit_positions(mask_bits(np.array(mask, dtype=bool))) == tuple(
+        p for p, hit in enumerate(mask, start=1) if hit
+    )
+
+
+position_sets = st.frozensets(st.integers(1, 40))
+
+
+@given(position_sets, position_sets, position_sets, position_sets, position_sets, st.booleans(), st.booleans())
+def test_step_matches_the_literal_set_definition(first, second, third, overlap, scan, true_overlap, true_scan):
+    # The flags swap in the true overlap and union, so that matching steps are drawn too.
+    overlap = first & second if true_overlap else overlap
+    scan = first | second | third if true_scan else scan
+    step = Step(tuple(map(reference.bit_set, (first, second, third))), reference.bit_set(overlap))
+    assert step.union() == reference.bit_set(first | second | third)
+    literal = first | second | third == scan and first & second == overlap and not third & (first | second)
+    assert step.matches(reference.bit_set(scan)) == literal

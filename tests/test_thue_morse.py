@@ -11,9 +11,8 @@ import pytest
 
 from netoccs.fibonacci import theta_set, theta_steps
 from netoccs.netfreq import net_occurrences_bruteforce
-from netoccs.occurrences import Occurrence, find_occurrences, mask_positions
+from netoccs.occurrences import Occurrence, bit_positions, find_occurrences, mask_bits
 from netoccs.thue_morse import (
-    OccurrenceSets,
     SmallestFactorization,
     ab_counts,
     ab_sets,
@@ -41,6 +40,8 @@ from netoccs.words import (
     tm_ref,
     tm_word,
 )
+
+from reference import bit_set
 
 
 def oracle_sets(i, j):
@@ -98,20 +99,20 @@ def test_ab_step_structure(i):
     assert len(steps) == i - 1
     for j in range(2, i - 1):
         a, b = oracle_sets(i, j)
-        assert ab_step_ok(steps[j], OccurrenceSets(a, b))
+        assert ab_step_ok(steps[j], (bit_set(a), bit_set(b)))
         # a scan that misses one position
-        assert not ab_step_ok(steps[j], OccurrenceSets(a[1:], b))
-        assert not ab_step_ok(steps[j], OccurrenceSets(a, b[1:]))
+        assert not ab_step_ok(steps[j], (bit_set(a[1:]), bit_set(b)))
+        assert not ab_step_ok(steps[j], (bit_set(a), bit_set(b[1:])))
 
 
 def test_ab_step_overlaps_frozen():
     steps = list(ab_steps(5))
     a_step, b_step = steps[3]
-    assert a_step.overlap == (7,)
-    assert b_step.overlap == (9,)
+    assert a_step.overlap == bit_set((7,))
+    assert b_step.overlap == bit_set((9,))
     a_step, b_step = steps[2]
-    assert a_step.overlap == ()
-    assert b_step.overlap == ()
+    assert a_step.overlap == 0
+    assert b_step.overlap == 0
 
 
 def test_recurrences_hold_nothing_after_a_call():
@@ -408,7 +409,7 @@ def test_target_scans_are_the_direct_scans(i):
     assert sorted(table) == list(range(i))
     for j, masks in table.items():
         for target, mask in zip((tm_word(i - j), tm_flip_word(i - j)), masks):
-            assert mask_positions(mask) == find_occurrences(target, word), j
+            assert bit_positions(mask_bits(mask)) == find_occurrences(target, word), j
             assert mask.shape == (len(word),)
     if i <= 8:  # a table of one offset holds the same scans
         for j in range(i):

@@ -144,15 +144,19 @@ def _failing(claims):
     return {name: claim.witness for name, claim in claims.items() if not claim.passed}
 
 
+def _drop_lowest(bits):  # a bit set without its smallest position
+    return bits & (bits - 1)
+
+
 def _drop_shifted(step):  # lose the smallest shifted position
     prev, shifted, rightmost = step.pieces
-    return Step((prev, shifted[1:], rightmost))
+    return Step((prev, _drop_lowest(shifted), rightmost))
 
 
 def _drop_twice_shifted(steps):  # lose the smallest twice-shifted a position
     a_step, b_step = steps
     prev, shifted, twice = a_step.pieces
-    return dataclasses.replace(a_step, pieces=(prev, shifted, twice[1:])), b_step
+    return dataclasses.replace(a_step, pieces=(prev, shifted, _drop_lowest(twice))), b_step
 
 
 def test_theta_step_clauses_catch_a_dropped_position(monkeypatch):
@@ -167,9 +171,9 @@ def test_theta_step_clauses_catch_a_dropped_position(monkeypatch):
 def test_theta_step_clauses_catch_pieces_that_meet(monkeypatch):
     i, j = 10, 4
 
-    def repeat(step):  # the third piece repeats prev[0]; the union is unchanged
+    def repeat(step):  # the third piece repeats prev's smallest position; the union is unchanged
         prev, shifted, rightmost = step.pieces
-        return Step((prev, shifted, (prev[0], *rightmost)))
+        return Step((prev, shifted, rightmost | prev & -prev))
 
     _plant_step_fault(monkeypatch, fibonacci, "theta_steps", (i, j), repeat)
     claims = dict(verifier._fib_claims(i))
@@ -192,7 +196,7 @@ def test_recurrence_intersections_catch_an_emptied_overlap(monkeypatch):
     def empty(steps):  # the sets are unchanged
         a_step, b_step = steps
         assert a_step.overlap
-        return dataclasses.replace(a_step, overlap=()), b_step
+        return dataclasses.replace(a_step, overlap=0), b_step
 
     _plant_step_fault(monkeypatch, thue_morse, "ab_steps", (i, j), empty)
     assert _failing(dict(verifier._tm_claims(i))) == {"recurrence_intersections": [j]}
@@ -278,6 +282,90 @@ def test_occurrence_counts_catch_an_off_by_one_count(monkeypatch):
 
     monkeypatch.setattr(verifier, "ab_counts", planted)
     assert _failing(dict(verifier._tm_claims(7))) == {"occurrence_counts_match": [2]}
+
+
+def _plant_gapped_cover(monkeypatch):
+    # The completeness proof is handed the predicted cover with its first
+    # member cut one letter short of the second: a gap.
+    true_proof = verifier.prove_completeness
+
+    def planted(text, cover, net_occs):
+        return true_proof(text, (Occurrence(1, cover[1].start - 2), *cover[1:]), net_occs)
+
+    monkeypatch.setattr(verifier, "prove_completeness", planted)
+
+
+def _plant_wrong_block(drop):
+    # The Fibonacci identities read fib_word(i - drop) with its last letter flipped.
+    def plant(monkeypatch):
+        true_identities, true_word = verifier.check_fib_identities, fibonacci.fib_word
+
+        def planted(i):
+            def wrong(k):
+                word = true_word(k)
+                return word[:-1] + flip_word(word[-1]) if k == i - drop else word
+
+            with pytest.MonkeyPatch.context() as inner:
+                inner.setattr(fibonacci, "fib_word", wrong)
+                return true_identities(i)
+
+        monkeypatch.setattr(verifier, "check_fib_identities", planted)
+
+    return plant
+
+
+def _plant_top_count(monkeypatch):
+    # The count recurrence's top entry equals the oracle's count of a.
+    true_counts = verifier.ab_counts
+
+    def planted(j_max):
+        a_seq, b_seq = true_counts(j_max)
+        return (*a_seq[:-1], tm_word(j_max + 1).count("a")), b_seq
+
+    monkeypatch.setattr(verifier, "ab_counts", planted)
+
+
+_INVALID_COVER = {"cover_valid": False, "bnsos": [], "offending_supers": [], "oracle_agrees": False}
+# The identities' witnesses at order 9: the first position where the sides differ.
+_SPLIT_MID_COPY = {"split_mid_copy": fib_length(7) + fib_length(6)}
+_SPLIT_DOUBLE_PREFIX = {
+    "split_double_prefix": 2 * fib_length(7) + fib_length(4),
+    "tail_pair_forward": fib_length(5) + fib_length(4),
+    "tail_pair_reversed": fib_length(4),
+}
+
+
+# One row per planted fault: the claim stream and order it runs, the fault,
+# and every claim it flips with its witness.
+@pytest.mark.parametrize(
+    "claims, i, plant, flipped",
+    [
+        pytest.param(
+            verifier._fib_claims, 9, _plant_gapped_cover,
+            {"prediction_is_onoc": None, "cover_complete": _INVALID_COVER}, id="prediction_is_onoc-fib",
+        ),
+        pytest.param(
+            verifier._tm_claims, 7, _plant_gapped_cover,
+            {"prediction_is_onoc": None, "cover_complete": _INVALID_COVER}, id="prediction_is_onoc-tm",
+        ),
+        pytest.param(
+            verifier._fib_claims, 9, _plant_wrong_block(3), {"identities": _SPLIT_MID_COPY}, id="split_mid_copy"
+        ),
+        pytest.param(
+            verifier._fib_claims, 9, _plant_wrong_block(5), {"identities": _SPLIT_DOUBLE_PREFIX},
+            id="split_double_prefix",
+        ),
+        pytest.param(
+            verifier._tm_claims, 7, _plant_top_count,
+            {"top_offset_documented_deviation": {"oracle": 32, "recurrence": 32}},
+            id="top_offset_documented_deviation",
+        ),
+    ],
+)
+def test_a_planted_fault_flips_exactly_its_claims(claims, i, plant, flipped, monkeypatch):
+    assert _failing(dict(claims(i))) == {}
+    plant(monkeypatch)
+    assert _failing(dict(claims(i))) == flipped
 
 
 def test_a_faulty_factorization_construction_fails_its_claim(monkeypatch, capsys):
@@ -383,7 +471,7 @@ def test_lemmas_read_the_sweeps_theta_scans(monkeypatch):
 
     def faulty(order, offsets):
         table = true_scans(order, offsets)
-        return {**table, 2: table[2][:-1]} if order == i else table
+        return {**table, 2: table[2] ^ 1 << table[2].bit_length() - 1} if order == i else table
 
     monkeypatch.setattr(verifier, "theta_scans", faulty)
     assert _failing(dict(verifier._fib_claims(i))) == {
@@ -392,6 +480,34 @@ def test_lemmas_read_the_sweeps_theta_scans(monkeypatch):
         "theta_counts_match_oracle": [2],
         "lemmas": {"second_previous_positions": [1, fib_length(i - 2) + 1]},
     }
+
+
+_FIRST_CLAIM_PROBE = """
+import sys, time, tracemalloc
+from netoccs import verifier, words
+family, i = sys.argv[1], int(sys.argv[2])
+word = (words.fib_word if family == "fib" else words.tm_word)(i)
+claims = (verifier._fib_claims if family == "fib" else verifier._tm_claims)(i)
+tracemalloc.start()
+start = time.perf_counter()
+name, claim = next(claims)
+print(claim.passed, len(word), tracemalloc.get_traced_memory()[1], time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("family, i, per_offset", [("tm", 20, 2), ("fib", 30, 1)])
+def test_first_claim_holds_little_beside_its_mask_table(family, i, per_offset):
+    # The first claim builds the order's scan table, one mask of the word's
+    # length per target and offset (a target and its flip for Thue-Morse),
+    # and the recurrence steps over bit sets. Measured in fresh processes,
+    # words built before tracing starts: peaks of 1.5 (tm 20) and 1.1
+    # (fib 30) times the masks, in 0.05 s under tracing. Position tuples
+    # needed 4.5 and 4.9 times the masks, and 1.0 and 1.4 s.
+    probe = [sys.executable, "-c", _FIRST_CLAIM_PROBE, family, str(i)]
+    passed, length, peak, seconds = subprocess.run(probe, capture_output=True, text=True, check=True).stdout.split()
+    assert passed == "True"
+    assert int(peak) < 2 * per_offset * i * int(length), (int(peak), int(length))
+    assert float(seconds) < 0.5
 
 
 def test_no_recurrence_state_outlives_a_call(monkeypatch):
@@ -522,6 +638,18 @@ def test_onoc_lemma_exhaustive_cap_refused_before_any_text(monkeypatch):
     monkeypatch.setattr(verifier, "_containment_kernel", never)
     with pytest.raises(ValueError, match="exhaustive max_len 21 > 20"):
         verify_onoc_lemma_random(seed=0, samples=0, max_len=21, exhaustive=True)
+
+
+def test_onoc_lemma_sample_cap_refused_before_any_text(monkeypatch):
+    # every text is drawn before any is checked, so a huge count would
+    # exhaust the memory before the first verdict
+    def never(*args):
+        raise AssertionError(f"drew {args!r} despite the cap")
+
+    monkeypatch.setattr(verifier, "_sampled_blocks", never)
+    cap = verifier.SAMPLED_MAX_SAMPLES
+    with pytest.raises(ValueError, match=f"samples {cap + 1} not in 1..{cap}"):
+        verify_onoc_lemma_random(seed=0, samples=cap + 1, max_len=32)
 
 
 @pytest.mark.parametrize("max_len", [0, -3])
