@@ -20,11 +20,12 @@ Two independent enumerators are provided and must agree everywhere:
   bounds (``_net_bounds``): it computes, for every suffix, the maximum
   common prefix with any other suffix (adjacent maxima of the LCP array)
   and reads the net occurrences' bounds off that table without any
-  substring scanning. Texts of at most ``SHORT_TEXT`` letters sort suffix
-  slices and take the LCP array from Kasai's linear Python pass. Longer
-  texts use numpy throughout: prefix doubling for the suffix array, the LCP
-  by binary lifting over the rank arrays of the doubling rounds, and the
-  selection of net-occurrence starts (see ``_repeated_prefix``). Then the
+  substring scanning. Texts of at most ``SHORT_TEXT`` letters turn each
+  suffix into one integer key (``_suffix_keys``): one sort of the starts by
+  key gives the suffix array, and the XOR of adjacent keys gives each LCP.
+  Longer texts use numpy throughout: prefix doubling for the suffix array,
+  the LCP by binary lifting over the rank arrays of the doubling rounds, and
+  the selection of net-occurrence starts (see ``_repeated_prefix``). Then the
   records, one per bound: short texts share one Occurrence per span.
   ``net_frequency`` counts the bounds and builds no record.
 """
@@ -58,8 +59,8 @@ class NetOccurrenceRecord:
         }
 
 
-# Longest text that the indexed engine handles in plain Python (sorted suffix
-# slices, Kasai's LCP); longer texts go through numpy.
+# Longest text that the indexed engine handles in plain Python, on integer
+# suffix keys (``_suffix_keys``); longer texts go through numpy.
 SHORT_TEXT = 256
 
 
@@ -137,17 +138,34 @@ def net_occurrences_bruteforce(text: str) -> list[NetOccurrenceRecord]:
         s0, length = last + 1, e - last - 1
 
 
+def _suffix_keys(text: str) -> list[int]:
+    """One integer per suffix whose order is the suffixes' order, for texts
+    of at most SHORT_TEXT letters.
+
+    Each letter is one 32-bit digit holding its code point + 1, so no digit
+    is 0; key i is the suffix at i left-aligned in n digits, zero past its
+    end. The first digit where two keys differ is where their suffixes
+    differ, and a proper prefix has a 0 there against a letter's digit, so
+    integer order is suffix order. Two suffixes share their first
+    ``(32 * n - (key_a ^ key_b).bit_length()) >> 5`` letters.
+    """
+    n = len(text)
+    x = int.from_bytes(text.encode("utf-32-be"), "big") + int.from_bytes(b"\0\0\0\1" * n, "big")
+    mask = (1 << 32 * n) - 1
+    return [(x << 32 * i) & mask for i in range(n)]
+
+
 def suffix_array(text: str) -> list[int]:
     """Suffix array: the 0-based suffix starts in lexicographic order.
 
-    Texts of at most SHORT_TEXT letters sort their suffix slices, which is
-    the definition itself: on tiny texts one C-level sort beats the fixed
-    cost of numpy calls, and the slices stay under 33k characters. Longer
-    texts use numpy prefix doubling (``_doubling``).
+    Texts of at most SHORT_TEXT letters sort the starts by their integer
+    suffix keys (``_suffix_keys``), the order ``repeated_prefix_table``
+    reads too. Longer texts use numpy prefix doubling (``_doubling``).
     """
     n = len(text)
     if n <= SHORT_TEXT:
-        return sorted(range(n), key=lambda i: text[i:])
+        keys = _suffix_keys(text)
+        return sorted(range(n), key=keys.__getitem__)
     return _doubling(text)[0].tolist()
 
 
@@ -199,8 +217,10 @@ def _doubling(text: str) -> tuple[np.ndarray, list[np.ndarray]]:
 def lcp_array(text: str, sa: list[int]) -> list[int]:
     """lcp[r] = longest common prefix of sa[r-1] and sa[r] (lcp[0] = 0).
 
-    Kasai's linear pass, used for texts of at most SHORT_TEXT letters;
-    longer texts derive the LCP from the doubling ranks (``_repeated_prefix``).
+    Kasai's linear pass, kept as the definitional LCP of a suffix array; the
+    engine does not call it. Short texts take each LCP from the XOR of two
+    suffix keys (``repeated_prefix_table``), longer ones from the doubling
+    ranks (``_repeated_prefix``).
     """
     n = len(text)
     rank = [0] * n
@@ -251,19 +271,24 @@ def repeated_prefix_table(text: str) -> list[int]:
     """For each 0-based start s, the length of the longest prefix of the
     suffix at s that also occurs elsewhere in the text: the larger LCP of
     its suffix with the two neighbours in the suffix array. Texts of at
-    most SHORT_TEXT letters use Kasai's ``lcp_array``; longer ones derive
-    the LCP from the doubling ranks in numpy."""
+    most SHORT_TEXT letters sort the starts once by their suffix keys
+    (``_suffix_keys``) and take each adjacent LCP from the XOR of two keys;
+    longer ones derive the LCP from the doubling ranks in numpy."""
     n = len(text)
     if n > SHORT_TEXT:
         return _repeated_prefix(text).tolist()
-    sa = suffix_array(text)
-    lcp = lcp_array(text, sa)
+    if not n:
+        return []
+    keys = _suffix_keys(text)
+    sa = sorted(range(n), key=keys.__getitem__)
+    width = 32 * n
     table = [0] * n
-    for r, s in enumerate(sa):
-        best = lcp[r]
-        if r + 1 < n and lcp[r + 1] > best:
-            best = lcp[r + 1]
-        table[s] = best
+    s, h = sa[0], 0  # a suffix in order, and its LCP with the one before it
+    for t in sa[1:]:
+        lcp = (width - (keys[s] ^ keys[t]).bit_length()) >> 5
+        table[s] = lcp if lcp > h else h
+        s, h = t, lcp
+    table[s] = h
     return table
 
 
@@ -277,7 +302,8 @@ def _net_bounds(text: str) -> Iterable[tuple[int, int]]:
     unique, i.e. s = 0 or R[s-1] <= R[s], since the left extension is the
     length-(R[s]+1) string starting one position earlier. Above SHORT_TEXT
     letters the selection runs in numpy on ``_repeated_prefix``; at or
-    below it, in Python on ``repeated_prefix_table``.
+    below it, in one Python pass over ``repeated_prefix_table`` that carries
+    the previous R (0 before the first start).
     """
     if len(text) > SHORT_TEXT:
         table = _repeated_prefix(text)
@@ -285,12 +311,13 @@ def _net_bounds(text: str) -> Iterable[tuple[int, int]]:
         keep[1:] &= table[:-1] <= table[1:]
         starts = np.flatnonzero(keep)
         return zip(starts.tolist(), (starts + table[starts]).tolist())
-    table = repeated_prefix_table(text)
-    return [
-        (s0, s0 + length)
-        for s0, length in enumerate(table)
-        if length and (s0 == 0 or table[s0 - 1] <= length)
-    ]
+    bounds = []
+    last = 0
+    for s0, length in enumerate(repeated_prefix_table(text)):
+        if length and last <= length:
+            bounds.append((s0, s0 + length))
+        last = length
+    return bounds
 
 
 # The Occurrence of each span (s0, e) of a text of at most SHORT_TEXT

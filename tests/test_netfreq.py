@@ -35,7 +35,7 @@ LONG_TEXTS = [
 ] + ["a" * 500, "ab" * 250, "aab" * 200]
 
 # Texts on both sides of the length at which suffix_array switches from
-# sorting slices to numpy prefix doubling, keyed by test id.
+# integer suffix keys to numpy prefix doubling, keyed by test id.
 _BOUNDARY_LENGTHS = (SHORT_TEXT - 1, SHORT_TEXT, SHORT_TEXT + 1, 3000)
 SA_TEXTS = {
     **{f"random-{n}": "".join(_rng.choice("ab") for _ in range(n)) for n in _BOUNDARY_LENGTHS},
@@ -52,6 +52,27 @@ SA_TEXTS.update(
         for n in _BOUNDARY_LENGTHS
     }
 )
+
+# Texts where the short path's integer suffix keys can break: the zero code
+# point (its key digit is 1, never the 0 that ends a suffix), the largest
+# code point (its digit fills 32 bits), and ASCII mixed with astral letters.
+_KEY_LETTERS = ("\0", "a", "\U0001f600", "\U0010ffff")
+_rng_keys = random.Random(20261020)
+KEY_EDGE_TEXTS = {
+    "zeros-3": "\0\0\0",
+    "a-zero-4": "a\0a\0",
+    "max-a-max": "\U0010ffffa\U0010ffff",
+    **{
+        f"{name}-{n}": "".join(_rng_keys.choice(letters) for _ in range(n))
+        for n in range(1, 21)
+        for name, letters in (("mixed", _KEY_LETTERS), ("zero-max", ("\0", "\U0010ffff")))
+    },
+    f"mixed-{SHORT_TEXT - 1}": "".join(_rng_keys.choice(_KEY_LETTERS) for _ in range(SHORT_TEXT - 1)),
+    f"zero-max-{SHORT_TEXT}": "".join(_rng_keys.choice(("\0", "\U0010ffff")) for _ in range(SHORT_TEXT)),
+    f"zeros-{SHORT_TEXT}": "\0" * SHORT_TEXT,
+    f"mixed-{SHORT_TEXT + 1}": "".join(_rng_keys.choice(_KEY_LETTERS) for _ in range(SHORT_TEXT + 1)),
+}
+SA_TEXTS.update(KEY_EDGE_TEXTS)
 
 
 def _all_short_texts(max_len):
@@ -95,6 +116,8 @@ def test_empty_text_rejected():
         net_occurrences_bruteforce("")
     with pytest.raises(ValueError):
         net_occurrences_indexed("")
+    # The index helpers take the empty text and return empty tables.
+    assert suffix_array("") == [] and repeated_prefix_table("") == []
 
 
 def test_record_json_shape():
@@ -444,3 +467,44 @@ def test_shared_occurrence_table_is_bounded():
     for text in (tm_word(10), SA_TEXTS["random-3000"], "a" * (SHORT_TEXT + 1)):
         net_occurrences_indexed(text)
     assert table == before
+
+
+# The literal reference takes about a second on a text of SHORT_TEXT letters;
+# each text's net occurrences are computed once for both tests that read them.
+_reference_net_occurrences = functools.cache(reference.net_occurrences)
+
+
+def test_suffix_keys_order_and_xor_lcp_are_the_suffixes():
+    for text in KEY_EDGE_TEXTS.values():
+        n = len(text)
+        if n > 20:
+            continue
+        keys = netfreq._suffix_keys(text)
+        for i in range(n):
+            for j in range(n):
+                x, y = text[i:], text[j:]
+                common = 0
+                while common < min(len(x), len(y)) and x[common] == y[common]:
+                    common += 1
+                assert (keys[i] < keys[j]) == (x < y), (text, i, j)
+                if i != j:
+                    assert (32 * n - (keys[i] ^ keys[j]).bit_length()) >> 5 == common, (text, i, j)
+
+
+# suffix_array and repeated_prefix_table meet these texts in SA_TEXTS.
+@pytest.mark.parametrize("text", list(KEY_EDGE_TEXTS.values()), ids=list(KEY_EDGE_TEXTS))
+def test_indexed_route_matches_literal_reference_on_key_edge_letters(text):
+    assert occ_pairs(net_occurrences_indexed(text)) == _reference_net_occurrences(text)
+
+
+@pytest.mark.parametrize("text", list(KEY_EDGE_TEXTS.values()), ids=list(KEY_EDGE_TEXTS))
+def test_net_frequency_matches_literal_reference_on_key_edge_letters(text, monkeypatch):
+    monkeypatch.setattr(reference, "net_occurrences", _reference_net_occurrences)
+    net = {text[s - 1 : e] for s, e in _reference_net_occurrences(text)}
+    # Every net string, the whole text, its first half, an absent letter and a
+    # string longer than the text.
+    patterns = net | {text, text[: len(text) // 2 + 1], "b", text + "\0"}
+    if len(text) <= 20:
+        patterns |= {text[s:e] for s in range(len(text)) for e in range(s + 1, len(text) + 1)}
+    for pattern in patterns:
+        assert net_frequency(text, pattern) == reference.net_frequency(text, pattern), (text, pattern)
