@@ -16,24 +16,24 @@ Two independent enumerators are provided and must agree everywhere:
   (6,765 letters) and 327 at tm 14 (8,192). Every candidate the scan
   visits, and so every reported record, is checked against the definition
   by ``is_net_occurrence`` (see the function's docstring).
-* ``net_occurrences_indexed`` — suffix-array route, in two steps. First the
-  bounds (``_net_bounds``): it computes, for every suffix, the maximum
-  common prefix with any other suffix (adjacent maxima of the LCP array)
-  and reads the net occurrences' bounds off that table without any
-  substring scanning. Texts of at most ``SHORT_TEXT`` letters turn each
-  suffix into one integer key (``_suffix_keys``): one sort of the starts by
-  key gives the suffix array, and the XOR of adjacent keys gives each LCP.
-  Longer texts use numpy throughout: prefix doubling for the suffix array,
-  the LCP by binary lifting over the rank arrays of the doubling rounds, and
-  the selection of net-occurrence starts (see ``_repeated_prefix``). Then the
-  records, one per bound: short texts share one Occurrence per span.
+* ``net_occurrences_indexed`` — suffix-array route. It computes, for every
+  suffix, the maximum common prefix with any other suffix (adjacent maxima
+  of the LCP array) and reads the net occurrences' bounds off that table
+  (``_net_bounds``) without any substring scanning, one record per bound.
+  Texts of at most ``SHORT_TEXT`` letters key each suffix by one integer
+  (``_suffix_keys``, a byte per letter if ASCII): one sort by key gives the
+  suffix array, the XOR of adjacent keys each LCP, and one pass goes from
+  that table to the records, which share one Occurrence per span. Longer
+  texts use numpy throughout: prefix doubling for the suffix array, the LCP
+  by binary lifting over the rank arrays of the doubling rounds, and the
+  selection of net-occurrence starts (see ``_repeated_prefix``).
   ``net_frequency`` counts the bounds and builds no record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -60,7 +60,9 @@ class NetOccurrenceRecord:
 
 
 # Longest text that the indexed engine handles in plain Python, on integer
-# suffix keys (``_suffix_keys``); longer texts go through numpy.
+# suffix keys (``_suffix_keys``); longer texts go through numpy. Timed per call
+# with each path forced, on random two-letter texts, the engine's two paths tie
+# at 256 ASCII letters (about 190 us); on other letters numpy wins from 150.
 SHORT_TEXT = 256
 
 
@@ -138,33 +140,36 @@ def net_occurrences_bruteforce(text: str) -> list[NetOccurrenceRecord]:
         s0, length = last + 1, e - last - 1
 
 
-def _suffix_keys(text: str) -> list[int]:
-    """One integer per suffix whose order is the suffixes' order, for texts
-    of at most SHORT_TEXT letters.
+def _suffix_keys(text: str) -> tuple[list[int], int]:
+    """One integer per suffix whose order is the suffixes' order, and the
+    digit width w in bits, for texts of at most SHORT_TEXT letters.
 
-    Each letter is one 32-bit digit holding its code point + 1, so no digit
-    is 0; key i is the suffix at i left-aligned in n digits, zero past its
-    end. The first digit where two keys differ is where their suffixes
-    differ, and a proper prefix has a 0 there against a letter's digit, so
-    integer order is suffix order. Two suffixes share their first
-    ``(32 * n - (key_a ^ key_b).bit_length()) >> 5`` letters.
+    Each letter is one w-bit digit holding its code point + 1, so no digit
+    is 0: w = 8 for an ASCII text (digits 1-128), else 32. Key i is the
+    suffix at i left-aligned in n digits, zero past its end. The first digit
+    where two keys differ is where their suffixes differ, and a proper
+    prefix has a 0 there against a letter's digit, so integer order is
+    suffix order. Two suffixes share their first
+    ``(w * n - (key_a ^ key_b).bit_length()) // w`` letters.
     """
+    codec, one, w = ("ascii", b"\1", 8) if text.isascii() else ("utf-32-be", b"\0\0\0\1", 32)
     n = len(text)
-    x = int.from_bytes(text.encode("utf-32-be"), "big") + int.from_bytes(b"\0\0\0\1" * n, "big")
-    mask = (1 << 32 * n) - 1
-    return [(x << 32 * i) & mask for i in range(n)]
+    x = int.from_bytes(text.encode(codec), "big") + int.from_bytes(one * n, "big")
+    mask = (1 << w * n) - 1
+    return [(x << i) & mask for i in range(0, w * n, w)], w
 
 
 def suffix_array(text: str) -> list[int]:
     """Suffix array: the 0-based suffix starts in lexicographic order.
 
     Texts of at most SHORT_TEXT letters sort the starts by their integer
-    suffix keys (``_suffix_keys``), the order ``repeated_prefix_table``
-    reads too. Longer texts use numpy prefix doubling (``_doubling``).
+    suffix keys (``_suffix_keys``, of the text's own digit width), the order
+    ``repeated_prefix_table`` reads too. Longer texts use numpy prefix
+    doubling (``_doubling``). The engine does not call it.
     """
     n = len(text)
     if n <= SHORT_TEXT:
-        keys = _suffix_keys(text)
+        keys, _ = _suffix_keys(text)
         return sorted(range(n), key=keys.__getitem__)
     return _doubling(text)[0].tolist()
 
@@ -219,8 +224,8 @@ def lcp_array(text: str, sa: list[int]) -> list[int]:
 
     Kasai's linear pass, kept as the definitional LCP of a suffix array; the
     engine does not call it. Short texts take each LCP from the XOR of two
-    suffix keys (``repeated_prefix_table``), longer ones from the doubling
-    ranks (``_repeated_prefix``).
+    suffix keys and their digit width (``repeated_prefix_table``), longer
+    ones from the doubling ranks (``_repeated_prefix``).
     """
     n = len(text)
     rank = [0] * n
@@ -272,20 +277,21 @@ def repeated_prefix_table(text: str) -> list[int]:
     suffix at s that also occurs elsewhere in the text: the larger LCP of
     its suffix with the two neighbours in the suffix array. Texts of at
     most SHORT_TEXT letters sort the starts once by their suffix keys
-    (``_suffix_keys``) and take each adjacent LCP from the XOR of two keys;
-    longer ones derive the LCP from the doubling ranks in numpy."""
+    (``_suffix_keys``) and take each adjacent LCP from the XOR of two keys
+    and the digit width; longer ones derive the LCP from the doubling ranks
+    in numpy."""
     n = len(text)
     if n > SHORT_TEXT:
         return _repeated_prefix(text).tolist()
     if not n:
         return []
-    keys = _suffix_keys(text)
+    keys, w = _suffix_keys(text)
     sa = sorted(range(n), key=keys.__getitem__)
-    width = 32 * n
+    width = w * n
     table = [0] * n
     s, h = sa[0], 0  # a suffix in order, and its LCP with the one before it
     for t in sa[1:]:
-        lcp = (width - (keys[s] ^ keys[t]).bit_length()) >> 5
+        lcp = (width - (keys[s] ^ keys[t]).bit_length()) // w
         table[s] = lcp if lcp > h else h
         s, h = t, lcp
     table[s] = h
@@ -302,8 +308,8 @@ def _net_bounds(text: str) -> Iterable[tuple[int, int]]:
     unique, i.e. s = 0 or R[s-1] <= R[s], since the left extension is the
     length-(R[s]+1) string starting one position earlier. Above SHORT_TEXT
     letters the selection runs in numpy on ``_repeated_prefix``; at or
-    below it, in one Python pass over ``repeated_prefix_table`` that carries
-    the previous R (0 before the first start).
+    below it, lazily in ``_short_bounds``, which carries the previous R (0
+    before the first start): the caller's loop is the only pass over R.
     """
     if len(text) > SHORT_TEXT:
         table = _repeated_prefix(text)
@@ -311,13 +317,15 @@ def _net_bounds(text: str) -> Iterable[tuple[int, int]]:
         keep[1:] &= table[:-1] <= table[1:]
         starts = np.flatnonzero(keep)
         return zip(starts.tolist(), (starts + table[starts]).tolist())
-    bounds = []
+    return _short_bounds(repeated_prefix_table(text))
+
+
+def _short_bounds(table: list[int]) -> Iterator[tuple[int, int]]:
     last = 0
-    for s0, length in enumerate(repeated_prefix_table(text)):
+    for s0, length in enumerate(table):
         if length and last <= length:
-            bounds.append((s0, s0 + length))
+            yield s0, s0 + length
         last = length
-    return bounds
 
 
 # The Occurrence of each span (s0, e) of a text of at most SHORT_TEXT
@@ -337,12 +345,12 @@ _SET_RIGHT = NetOccurrenceRecord.right.__set__
 def net_occurrences_indexed(text: str) -> list[NetOccurrenceRecord]:
     """Index-based enumerator; must match the brute-force oracle exactly.
 
-    First the net occurrences' bounds (``_net_bounds``), then one record per
-    bound. A text of at most SHORT_TEXT letters takes each record's
-    ``occurrence`` from a shared table, so the same span gives the same
-    Occurrence object in every such text and call; longer texts build fresh
-    ones. Each record is filled slot by slot, which gives the same frozen
-    value as the constructor.
+    One record per bound of ``_net_bounds``, built as the bound is read
+    (for a short text, as it is selected from R). A text of at most
+    SHORT_TEXT letters takes each record's ``occurrence`` from a shared
+    table, so the same span gives the same Occurrence object in every such
+    text and call; longer texts build fresh ones. Each record is filled slot
+    by slot, which gives the same frozen value as the constructor.
     """
     if not text:
         raise ValueError("net_occurrences_indexed: empty text")

@@ -178,19 +178,21 @@ def _factorization_ok(i: int, j: int, kind: str, table: dict) -> bool:
 def _tm_claims(i: int) -> _Claims:
     word = tm_word(i)
     # The order's one table of direct scans of tm_word(i-j) and its flip, read
-    # as bit sets by the recurrence steps (built in one pass) and as masks by
-    # the factorizations; the steps' sizes are checked against the counts.
+    # as bit sets by the recurrence steps and as masks by the factorizations.
+    # One pass over the steps records each offset's three set verdicts (the
+    # step clauses only from offset 2, where their claim starts).
     table = target_scans(i, range(i))
-    scans = [tuple(map(mask_bits, table[j])) for j in range(i - 1)]
-    steps = list(ab_steps(i))
-    sets = [(a_step.union(), b_step.union()) for a_step, b_step in steps]
     a_seq, b_seq = ab_counts(i - 1)  # one past the recurrence's domain, for the top offset
-    yield "occurrence_sets_match_oracle", _offset_table(range(i - 1), lambda j: sets[j] == scans[j])
-    yield "recurrence_intersections", _offset_table(range(2, i - 1), lambda j: ab_step_ok(steps[j], scans[j]))
-    yield "occurrence_counts_match", _offset_table(
-        range(i - 1), lambda j: (sets[j][0].bit_count(), sets[j][1].bit_count()) == (a_seq[j], b_seq[j])
-    )
-    del scans, steps, sets  # before the order's heavier claims run
+    verdicts = []
+    for j, steps in enumerate(ab_steps(i)):
+        scan = tuple(map(mask_bits, table[j]))
+        sets = tuple(step.union() for step in steps)
+        counts = (sets[0].bit_count(), sets[1].bit_count())
+        verdicts.append((sets == scan, j < 2 or ab_step_ok(steps, scan), counts == (a_seq[j], b_seq[j])))
+    del steps, scan, sets  # the last offset's, before the order's heavier claims run
+    yield "occurrence_sets_match_oracle", _offset_table(range(i - 1), lambda j: verdicts[j][0])
+    yield "recurrence_intersections", _offset_table(range(2, i - 1), lambda j: verdicts[j][1])
+    yield "occurrence_counts_match", _offset_table(range(i - 1), lambda j: verdicts[j][2])
     # One offset past its domain the count recurrence disagrees with the word,
     # by design: the sweep asserts the disagreement rather than hiding it.
     oracle_top = word.count("a")

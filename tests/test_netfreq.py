@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import hashlib
+import json
 import pickle
 import random
 from itertools import product
@@ -55,7 +57,9 @@ SA_TEXTS.update(
 
 # Texts where the short path's integer suffix keys can break: the zero code
 # point (its key digit is 1, never the 0 that ends a suffix), the largest
-# code point (its digit fills 32 bits), and ASCII mixed with astral letters.
+# code point (its digit fills 32 bits), ASCII mixed with astral letters, and
+# on 8-bit digits "\x7f" (its digit 128 fills the byte) and one non-ASCII
+# letter at the end of an ASCII text (which takes the text to 32 bits).
 _KEY_LETTERS = ("\0", "a", "\U0001f600", "\U0010ffff")
 _rng_keys = random.Random(20261020)
 KEY_EDGE_TEXTS = {
@@ -72,6 +76,21 @@ KEY_EDGE_TEXTS = {
     f"zeros-{SHORT_TEXT}": "\0" * SHORT_TEXT,
     f"mixed-{SHORT_TEXT + 1}": "".join(_rng_keys.choice(_KEY_LETTERS) for _ in range(SHORT_TEXT + 1)),
 }
+_ASCII_KEY_LETTERS = ("\0", "a", "\x7f")
+_rng_ascii = random.Random(20261021)
+KEY_EDGE_TEXTS.update(
+    {
+        **{f"dels-{n}": "\x7f" * n for n in (1, 2, 3, 20, SHORT_TEXT)},
+        **{
+            f"ascii-{n}": "".join(_rng_ascii.choice(_ASCII_KEY_LETTERS) for _ in range(n))
+            for n in (*range(1, 21), SHORT_TEXT - 1, SHORT_TEXT, SHORT_TEXT + 1)
+        },
+        **{
+            f"ascii-then-{ord(last):x}": "".join(_rng_ascii.choice(_ASCII_KEY_LETTERS) for _ in range(19)) + last
+            for last in ("\x80", "\U0010ffff")
+        },
+    }
+)
 SA_TEXTS.update(KEY_EDGE_TEXTS)
 
 
@@ -479,7 +498,8 @@ def test_suffix_keys_order_and_xor_lcp_are_the_suffixes():
         n = len(text)
         if n > 20:
             continue
-        keys = netfreq._suffix_keys(text)
+        keys, width = netfreq._suffix_keys(text)
+        assert width == (8 if text.isascii() else 32), text
         for i in range(n):
             for j in range(n):
                 x, y = text[i:], text[j:]
@@ -488,7 +508,7 @@ def test_suffix_keys_order_and_xor_lcp_are_the_suffixes():
                     common += 1
                 assert (keys[i] < keys[j]) == (x < y), (text, i, j)
                 if i != j:
-                    assert (32 * n - (keys[i] ^ keys[j]).bit_length()) >> 5 == common, (text, i, j)
+                    assert (width * n - (keys[i] ^ keys[j]).bit_length()) // width == common, (text, i, j)
 
 
 # suffix_array and repeated_prefix_table meet these texts in SA_TEXTS.
@@ -508,3 +528,28 @@ def test_net_frequency_matches_literal_reference_on_key_edge_letters(text, monke
         patterns |= {text[s:e] for s in range(len(text)) for e in range(s + 1, len(text) + 1)}
     for pattern in patterns:
         assert net_frequency(text, pattern) == reference.net_frequency(text, pattern), (text, pattern)
+
+
+def _pinned_texts():
+    yield from _all_short_texts(12)
+    yield from (fib_word(i) for i in range(3, 16))
+    yield from (tm_word(i) for i in range(1, 12))
+    rng = random.Random(20261021)
+    for letters in ("ab\0\x7f", "ab\0\x7f\U0010ffff"):
+        for _ in range(50):
+            yield "".join(rng.choice(letters) for _ in range(rng.randint(1, 300)))
+
+
+# SHA-256 over the indexed engine's records, one JSON list of
+# [start, end, substring, left, right] rows per text of _pinned_texts();
+# computed with the engine on 32-bit suffix keys for every text.
+_INDEXED_DIGEST = "c7badaf876b834a031df28874647ee2b4aac7ceacbe6fc81da77c9abde6dbda9"
+
+
+def test_indexed_records_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for text in _pinned_texts():
+        records = net_occurrences_indexed(text)
+        rows = [[r.occurrence.start, r.occurrence.end, r.substring, r.left, r.right] for r in records]
+        digest.update(json.dumps(rows).encode())
+    assert digest.hexdigest() == _INDEXED_DIGEST
