@@ -11,7 +11,7 @@ import json
 import sys
 
 from .netfreq import net_occurrences_bruteforce, net_occurrences_indexed
-from .occurrences import Occurrence, bit_positions, mask_bits
+from .occurrences import Occurrence, bit_positions
 from .onoc import prove_completeness
 from .thue_morse import (
     ab_sets,
@@ -131,8 +131,8 @@ def _cmd_occ_sets(args) -> int:
     if args.family == "fib":
         rows = [("", theta_set(i, j), bit_positions(theta_scans(i, range(j, j + 1))[j]))]
     else:
-        sets, masks = ab_sets(i, j), target_scans(i, range(j, j + 1))[j]
-        rows = [(k, s, bit_positions(mask_bits(m))) for k, s, m in zip("ab", (sets.a_set, sets.b_set), masks)]
+        sets, scans = ab_sets(i, j), target_scans(i, range(j, j + 1))[j]
+        rows = [(k, s, bit_positions(scan)) for k, s, scan in zip("ab", (sets.a_set, sets.b_set), scans)]
     equal = all(recurrence == oracle for _, recurrence, oracle in rows)
     payload = {"family": args.family, "order": i, "j": j}
     text_lines = []

@@ -20,8 +20,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator
 
-from .occurrences import Occurrence, PositionSet, Step, bit_positions, find_occurrences
-from .occurrences import mask_bits, occurrence_masks
+from .occurrences import Occurrence, PositionSet, Step, bit_positions, find_occurrences, occurrence_bits
 from .reports import ClaimResult, same_word
 from .words import FIB_MAX_ORDER, delta, fib_length, fib_length_ext, fib_word, q_word
 
@@ -63,12 +62,12 @@ def theta_set(i: int, j: int) -> PositionSet:
 
 def theta_scans(i: int, offsets: range) -> dict[int, int]:
     """Direct scans: the bit sets of the starts of fib_word(i-j) in fib_word(i) for the offsets j in
-    ``offsets``, from one mask table built by fib_k = fib_{k-1} fib_{k-2} up to the longest."""
+    ``offsets``, from one bit-set table built by fib_k = fib_{k-1} fib_{k-2} up to the longest."""
     if not (3 <= i <= FIB_MAX_ORDER and 0 <= offsets.start < offsets.stop <= i):
         raise ValueError(f"theta_scans: order {i} not in 3..{FIB_MAX_ORDER} or {offsets} not in 0..{i - 1}")
     splits = [(fib_word(k), fib_word(k - 1), fib_word(k - 2)) for k in range(3, i - offsets.start + 1)]
-    masks = occurrence_masks(fib_word(i), splits, {fib_word(i - j) for j in offsets})
-    return {j: mask_bits(masks[fib_word(i - j)]) for j in offsets}
+    bits = occurrence_bits(fib_word(i), splits, {fib_word(i - j) for j in offsets})
+    return {j: bits[fib_word(i - j)] for j in offsets}
 
 
 def theta_max_position(i: int, j: int) -> int:

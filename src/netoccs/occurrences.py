@@ -71,30 +71,33 @@ def find_occurrences(pattern: str, text: str) -> PositionSet:
     return tuple(out)
 
 
-def occurrence_masks(text: str, splits: list[tuple[str, str, str]], keep: set[str]) -> dict[str, np.ndarray]:
-    """Start masks of the words in ``keep`` (``masks[w][p]``: w starts in the text at 0-based p).
-    Single letters are masked directly; each split (word, left, right) in turn is built from two
-    masks already in the table by occ(left + right) = occ(left) ∩ (occ(right) - |left|), which holds
-    for any strings. A mask not kept is dropped after the last split that reads it. Raises
-    ValueError for a split that does not spell its word."""
+def occurrence_bits(text: str, splits: list[tuple[str, str, str]], keep: set[str]) -> dict[str, int]:
+    """Bit sets of the starts of the words in ``keep`` in an ASCII text. A letter's comes from one
+    bytes ``translate`` and one ``int(..., 2)``; each split (word, left, right) in turn uses
+    occ(left + right) = occ(left) & (occ(right) >> |left|), true of any strings. A set not kept is
+    dropped after its last read; a split that does not spell its word raises ValueError."""
     last_read = {part: n for n, split in enumerate(splits) for part in split[1:]}
-    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    masks = {word: codes == ord(word) for word in {*keep, *last_read} if len(word) == 1}
+    raw = text.encode("ascii")[::-1]  # reversed: the last binary digit is the first letter
+    letters = {word for word in {*keep, *last_read} if len(word) == 1}
+    tables = {x: bytes(48 + (b == ord(x)) for b in range(256)) for x in letters}  # x to "1", others to "0"
+    bits = {x: int(raw.translate(table) or b"0", 2) << 1 for x, table in tables.items()}
     for n, (word, left, right) in enumerate(splits):
         if len(word) != len(left) + len(right) or not (word.startswith(left) and word.endswith(right)):
-            raise ValueError(f"occurrence_masks: {left!r} + {right!r} does not spell {word!r}")
-        span = max(codes.size - len(left), 0)
-        masks[word] = np.zeros(codes.size, bool)
-        np.logical_and(masks[left][:span], masks[right][len(left) :], out=masks[word][:span])
+            raise ValueError(f"occurrence_bits: {left!r} + {right!r} does not spell {word!r}")
+        bits[word] = bits[left] & bits[right] >> len(left)
         for part in {left, right} - keep:
             if last_read[part] == n:  # no later split reads it
-                del masks[part]
-    return {word: masks[word] for word in keep}
+                del bits[part]
+    return {word: bits[word] for word in keep}
 
 
-def mask_bits(mask: np.ndarray) -> int:
-    """The bit set of a start mask: bit p + 1 is set where ``mask[p]`` is."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little") << 1
+def runs_of(bits: int, length: int) -> int:
+    """The bit set of the p with p, ..., p + length - 1 all in ``bits`` (length >= 1), by doubling."""
+    covered = 1
+    while 2 * covered <= length:
+        bits &= bits >> covered
+        covered *= 2
+    return bits & bits >> (length - covered)  # one shift covers the rest (0 at a power of 2)
 
 
 def bit_positions(bits: int) -> PositionSet:

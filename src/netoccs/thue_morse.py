@@ -24,8 +24,8 @@ Four groups of machine-checkable facts about tm_word(i):
 
 ab_sets deliberately stops at offset i-2: one step further the recurrence
 would shift by the length of an order-0 word, which does not exist. The
-direct scans come from target_scans, start masks of the targets built up
-to the longest one asked for; its offsets run to the letters at i-1. The
+direct scans come from target_scans, bit sets of the targets' starts built
+up to the longest one asked for; its offsets run to the letters at i-1. The
 factorization checks read the targets' starts from that table alone.
 """
 
@@ -35,9 +35,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice
 from typing import Iterator
 
-import numpy as np
-
-from .occurrences import Occurrence, PositionSet, Step, bit_positions, occurrence_masks
+from .occurrences import Occurrence, PositionSet, Step, bit_positions, occurrence_bits, runs_of
 from .reports import ClaimResult, same_word
 from .words import (
     TM_MAX_ORDER,
@@ -169,13 +167,14 @@ def predicted_tm_net_occurrences(i: int) -> tuple[Occurrence, ...]:
 def repetition_free(text: str) -> tuple[bool, bool]:
     """(overlap-free, cube-free). A run of d + 1 letters equal to the letter d places on spans
     an overlap; a run of 2d, a cube, is sought only at the shifts d that hold such a run."""
-    arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    letters = occurrence_bits(text, [], set(text)).values()
     overlap_free = True
-    for d in range(1, (arr.size - 1) // 2 + 1):
-        agree = (arr[d:] == arr[:-d]).tobytes()
-        if b"\1" * (d + 1) in agree:
+    for d in range(1, (len(text) - 1) // 2 + 1):
+        # The letters' sets are disjoint, so the sum is the union: each letter met with itself d on.
+        agree = sum(bits & bits >> d for bits in letters)
+        if runs_of(agree, d + 1):
             overlap_free = False
-            if b"\1" * (2 * d) in agree:
+            if runs_of(agree, 2 * d):
                 return False, False
     return overlap_free, True
 
@@ -307,16 +306,16 @@ def smallest_factorization(i: int, j: int, kind: str) -> SmallestFactorization:
     return SmallestFactorization(refs, codes, kind, i, j)
 
 
-def target_scans(i: int, offsets: range) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Start masks of tm_word(i-j) and its flip in tm_word(i) for the offsets j in ``offsets``, built
-    by tm_k = tm_{k-1} flip_{k-1} and flip_k = flip_{k-1} tm_{k-1} up to the longest. The flips are
-    made with flip_word, so the scans do not read tm_flip_word, which the checks use."""
+def target_scans(i: int, offsets: range) -> dict[int, tuple[int, int]]:
+    """Bit sets of the starts of tm_word(i-j) and its flip in tm_word(i) for the offsets j in
+    ``offsets``, built by tm_k = tm_{k-1} flip_{k-1} and flip_k = flip_{k-1} tm_{k-1} up to the
+    longest. The flips come from flip_word: the scans do not read tm_flip_word, as the checks do."""
     if not (2 <= i <= TM_MAX_ORDER and 0 <= offsets.start < offsets.stop <= i):
         raise ValueError(f"target_scans: order {i} not in 2..{TM_MAX_ORDER} or {offsets} not in 0..{i - 1}")
     pairs = [(word, flip_word(word)) for word in map(tm_word, range(1, i - offsets.start + 1))]
     splits = [split for (a, b), (x, y) in zip(pairs[1:], pairs) for split in ((a, x, y), (b, y, x))]
-    masks = occurrence_masks(tm_word(i), splits, {word for j in offsets for word in pairs[i - j - 1]})
-    return {j: tuple(masks[word] for word in pairs[i - j - 1]) for j in offsets}
+    bits = occurrence_bits(tm_word(i), splits, {word for j in offsets for word in pairs[i - j - 1]})
+    return {j: tuple(bits[word] for word in pairs[i - j - 1]) for j in offsets}
 
 
 def validate_smallest_factorization(fac: SmallestFactorization, table: dict) -> bool:
@@ -328,28 +327,28 @@ def validate_smallest_factorization(fac: SmallestFactorization, table: dict) -> 
         raise ValueError(f"validate_smallest_factorization: need a non-empty factorization of order {fac.i}")
     target = (tm_word if fac.kind == "A" else tm_flip_word)(fac.i - fac.j)
     # One byte per factor: 1 where the factor is the target word, else 0.
-    mask = fac.codes.translate(bytes(word == target for word in fac.words).ljust(256, b"\0"))
-    starts = np.flatnonzero(table[fac.j]["AB".index(fac.kind)]) + 1
-    return list(compress(fac.starts, mask)) == starts.tolist() and b"\0\0" not in mask
+    flags = fac.codes.translate(bytes(word == target for word in fac.words).ljust(256, b"\0"))
+    starts = bit_positions(table[fac.j]["AB".index(fac.kind)])
+    return tuple(compress(fac.starts, flags)) == starts and b"\0\0" not in flags
 
 
 def factorization_basis_ok(fac: SmallestFactorization, table: dict) -> bool:
-    """Every non-empty gap of tm_word(i) around the target's starts is the
-    order-(i-j) word, the order-(i-j-1) word or a flip (only defined members
-    count at the last offset, where the lower order would be 0). Where
-    ``fac`` validates, the gaps are its other factors. The starts and the
-    basis words' masks are read from ``table``, a ``target_scans`` of order
-    i that holds offsets j and j+1 where that offset exists."""
-    # The gaps run from each occurrence's end (0 first) to the next start
-    # (the word's end last), 0-based; a gap of length 0 or less is no gap.
-    starts = np.flatnonzero(table[fac.j]["AB".index(fac.kind)])
-    ends = np.append(0, starts + tm_length(fac.i - fac.j))
-    lengths = np.append(starts, tm_length(fac.i)) - ends
-    ok = lengths <= 0
-    for j in range(fac.j, min(fac.j + 2, fac.i)):  # a basis-length gap is a basis word iff one starts there
-        hit = lengths == tm_length(fac.i - j)
-        ok[hit] = table[j][0][ends[hit]] | table[j][1][ends[hit]]
-    return bool(ok.all())
+    """Every run of positions of tm_word(i) that no target occurrence covers (a gap) is the order-(i-j)
+    word, the order-(i-j-1) word or a flip, starting at the run's head and ending at its end (only
+    defined members count at the last offset, where the lower order would be 0). Where ``fac``
+    validates, the gaps are its other factors. All starts are read from ``table``, a
+    ``target_scans`` of order i that holds offsets j and j+1 where that offset exists."""
+    m = tm_length(fac.i - fac.j)
+    inside = (1 << tm_length(fac.i) + 1) - 2  # the positions 1..n of tm_word(i)
+    # q is a gap iff none of q-m+1..q is a target start; the positions below 1 hold none.
+    non_starts = (inside & ~table[fac.j]["AB".index(fac.kind)]) << m - 1 | (1 << m) - 1
+    gaps = runs_of(non_starts, m) & inside
+    heads = gaps & ~(gaps << 1)
+    placed = 0
+    for j in range(fac.j, min(fac.j + 2, fac.i)):  # heads of runs as long as a basis word starting there
+        length = tm_length(fac.i - j)
+        placed |= heads & (table[j][0] | table[j][1]) & runs_of(gaps, length) & ~(gaps >> length)
+    return placed == heads
 
 
 def factorization_boundary_ok(fac: SmallestFactorization) -> bool:

@@ -38,7 +38,7 @@ from .fibonacci import (
     theta_steps,
 )
 from .netfreq import NetOccurrenceRecord, net_occurrences_bruteforce, net_occurrences_indexed
-from .occurrences import Occurrence, mask_bits
+from .occurrences import Occurrence
 from .onoc import bnso_set, bridging, greedy_onoc, prove_completeness, widen
 from .reports import ClaimResult
 from .thue_morse import (
@@ -177,19 +177,18 @@ def _factorization_ok(i: int, j: int, kind: str, table: dict) -> bool:
 
 def _tm_claims(i: int) -> _Claims:
     word = tm_word(i)
-    # The order's one table of direct scans of tm_word(i-j) and its flip, read
-    # as bit sets by the recurrence steps and as masks by the factorizations.
-    # One pass over the steps records each offset's three set verdicts (the
-    # step clauses only from offset 2, where their claim starts).
+    # The order's one table of bit-set scans of tm_word(i-j) and its flip, read
+    # by the recurrence steps and the factorizations. One pass over the steps
+    # records each offset's three set verdicts (the step clauses only from
+    # offset 2, where their claim starts).
     table = target_scans(i, range(i))
     a_seq, b_seq = ab_counts(i - 1)  # one past the recurrence's domain, for the top offset
     verdicts = []
     for j, steps in enumerate(ab_steps(i)):
-        scan = tuple(map(mask_bits, table[j]))
         sets = tuple(step.union() for step in steps)
         counts = (sets[0].bit_count(), sets[1].bit_count())
-        verdicts.append((sets == scan, j < 2 or ab_step_ok(steps, scan), counts == (a_seq[j], b_seq[j])))
-    del steps, scan, sets  # the last offset's, before the order's heavier claims run
+        verdicts.append((sets == table[j], j < 2 or ab_step_ok(steps, table[j]), counts == (a_seq[j], b_seq[j])))
+    del steps, sets  # the last offset's, before the order's heavier claims run
     yield "occurrence_sets_match_oracle", _offset_table(range(i - 1), lambda j: verdicts[j][0])
     yield "recurrence_intersections", _offset_table(range(2, i - 1), lambda j: verdicts[j][1])
     yield "occurrence_counts_match", _offset_table(range(i - 1), lambda j: verdicts[j][2])
@@ -231,8 +230,8 @@ def _sweep(family: str, claims: Callable[[int], _Claims], first: int, last: int)
 # the factorization checks and the indexed engine. Each order costs about
 # 1.5x (Fibonacci) or 1.8x (Thue-Morse) the one before. Three runs each, one
 # per fresh process on a 2-vCPU x86_64 VM (Python 3.11.7, numpy 2.4.6):
-# verify_fibonacci(24) 0.11 s and verify_thue_morse(17) 0.22-0.31 s, peak RSS
-# (VmHWM) 34.9-35.0 MB and 38.2-38.3 MB.
+# verify_fibonacci(24) 0.13-0.23 s and verify_thue_morse(17) 0.27-0.29 s, peak
+# RSS (VmHWM) 34.7 MB and 38.0 MB.
 VERIFY_FIB_MAX_ORDER = 24
 VERIFY_TM_MAX_ORDER = 17
 

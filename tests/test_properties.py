@@ -1,6 +1,5 @@
 """Property-based tests over random binary texts."""
 
-import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +12,7 @@ from netoccs.netfreq import (
     repeated_prefix_table,
     suffix_array,
 )
-from netoccs.occurrences import Step, bit_positions, mask_bits
+from netoccs.occurrences import Step, bit_positions, find_occurrences, occurrence_bits
 from netoccs.verifier import check_onoc_containment
 from netoccs.words import flip_word
 
@@ -123,14 +122,15 @@ def test_numpy_route_is_definitional(text):
     assert net_occurrences_indexed(text) == net_occurrences_bruteforce(text)
 
 
-@given(st.lists(st.booleans(), max_size=300))
-@example([])
-@example([True] + [False] * 8)
-@example([False] * 8 + [True])
-def test_mask_bits_round_trip_to_the_masks_positions(mask):
-    assert bit_positions(mask_bits(np.array(mask, dtype=bool))) == tuple(
-        p for p, hit in enumerate(mask, start=1) if hit
-    )
+@given(st.text(alphabet="abc", max_size=300), st.text(alphabet="abc", min_size=1, max_size=12))
+@example("", "a")
+@example("a" + "b" * 8, "a")
+@example("b" * 8 + "a", "a")
+@example("abcabcab", "cabca")
+def test_occurrence_bits_read_back_as_the_found_starts(text, word):
+    # the word spelled letter by letter, each prefix from the one before it
+    splits = [(word[:k], word[: k - 1], word[k - 1]) for k in range(2, len(word) + 1)]
+    assert bit_positions(occurrence_bits(text, splits, {word})[word]) == find_occurrences(word, text)
 
 
 position_sets = st.frozensets(st.integers(1, 40))

@@ -3,15 +3,15 @@ identities, and the smallest-factorization constructions."""
 
 import hashlib
 import json
+import random
 import tracemalloc
 from itertools import product
 
-import numpy as np
 import pytest
 
 from netoccs.fibonacci import theta_set, theta_steps
 from netoccs.netfreq import net_occurrences_bruteforce
-from netoccs.occurrences import Occurrence, bit_positions, find_occurrences, mask_bits
+from netoccs.occurrences import Occurrence, bit_positions, find_occurrences
 from netoccs.thue_morse import (
     SmallestFactorization,
     ab_counts,
@@ -37,6 +37,7 @@ from netoccs.words import (
     lit_ref,
     tm_flip_ref,
     tm_flip_word,
+    tm_length,
     tm_ref,
     tm_word,
 )
@@ -252,6 +253,12 @@ def _has_cube(text):
 def test_freeness_scans_match_their_definitions():
     texts = ["".join(letters) for n in range(13) for letters in product("ab", repeat=n)]
     texts += [tm_word(i) for i in range(1, 11)] + [fib_word(i) for i in range(1, 15)]
+    # Three letters, where agreeing at a shift is not the same as agreeing on
+    # being a: every text up to 8 letters, and the square-free word of the
+    # run lengths of b in tm_word(10), whole and with one letter changed.
+    texts += ["".join(letters) for n in range(9) for letters in product("abc", repeat=n)]
+    ternary = "".join("abc"[len(run)] for run in tm_word(10).split("a")[1:-1])
+    texts += [ternary, ternary[:100] + "c" + ternary[101:]]
     for text in texts:
         assert repetition_free(text)[0] == (not _has_overlap(text)), text
         assert repetition_free(text)[1] == (not _has_cube(text)), text
@@ -407,13 +414,14 @@ def test_target_scans_are_the_direct_scans(i):
     word = tm_word(i)
     table = target_scans(i, range(i))
     assert sorted(table) == list(range(i))
-    for j, masks in table.items():
-        for target, mask in zip((tm_word(i - j), tm_flip_word(i - j)), masks):
-            assert bit_positions(mask_bits(mask)) == find_occurrences(target, word), j
-            assert mask.shape == (len(word),)
+    for j, scans in table.items():
+        for target, scan in zip((tm_word(i - j), tm_flip_word(i - j)), scans):
+            assert type(scan) is int
+            assert bit_positions(scan) == find_occurrences(target, word), j
+            assert scan < 1 << len(word) + 1  # no start past the word
     if i <= 8:  # a table of one offset holds the same scans
         for j in range(i):
-            assert all(map(np.array_equal, target_scans(i, range(j, j + 1))[j], table[j])), j
+            assert target_scans(i, range(j, j + 1))[j] == table[j], j
 
 
 def test_target_scan_domain_errors():
@@ -433,9 +441,63 @@ def test_factorization_basis_reads_the_gaps_from_a_direct_scan():
     fac = smallest_factorization(8, 4, "A")
     table = target_scans(8, range(4, 6))
     assert factorization_basis_ok(fac, table)
-    lost = table[4][0].copy()
-    lost[np.flatnonzero(lost)[-1]] = False
+    lost = table[4][0] ^ 1 << table[4][0].bit_length() - 1  # the last start cleared
     assert not factorization_basis_ok(fac, {**table, 4: (lost, table[4][1])})
+
+
+def _basis_ok_gap_by_gap(fac, table):
+    """factorization_basis_ok read one gap at a time from the same table: each
+    gap between consecutive target starts (and before the first, after the
+    last) has length <= 0, or the length of a basis word at offset j or j+1
+    with a start of that offset's word or flip at its head."""
+    i, j = fac.i, fac.j
+    target = bit_positions(table[j]["AB".index(fac.kind)])
+    heads = [1] + [start + tm_length(i - j) for start in target]
+    for head, end in zip(heads, [*target, tm_length(i) + 1]):
+        if end - head > 0 and not any(
+            end - head == tm_length(i - k) and head in bit_positions(table[k][0] | table[k][1])
+            for k in range(j, min(j + 2, i))
+        ):
+            return False
+    return True
+
+
+def test_factorization_basis_check_is_the_gap_by_gap_reading():
+    """Every (i, j, kind) to order 12, on the true scans and with planted
+    one-bit faults: a target start dropped or added, and a start of a basis
+    word (other than the target) dropped at offset j or j+1."""
+    rng = random.Random(34)
+
+    def flip_one(bits, members):  # toggle one position drawn from members
+        return bits ^ 1 << rng.choice(members) if members else bits
+
+    failures = set()
+    for i in range(2, 13):
+        table = target_scans(i, range(i))
+        positions = range(1, tm_length(i) + 1)
+        for j in range(i):
+            for kind in ("A", "B") if j else ("A",):
+                fac = smallest_factorization(i, j, kind)
+                ok = factorization_basis_ok(fac, table)
+                assert ok == _basis_ok_gap_by_gap(fac, table), (i, j, kind)
+                if not ok:
+                    failures.add((i, j, kind))
+                k = "AB".index(kind)
+                basis = [(j, 1 - k)] + [(j + 1, 0), (j + 1, 1)] * (j + 1 < i)
+                for _ in range(3):
+                    target = table[j][k]
+                    faults = [
+                        (j, k, flip_one(target, bit_positions(target))),
+                        (j, k, flip_one(target, [p for p in positions if not target >> p & 1])),
+                    ]
+                    for jj, kk in basis:
+                        faults.append((jj, kk, flip_one(table[jj][kk], bit_positions(table[jj][kk]))))
+                    for jj, kk, bits in faults:
+                        planted = {**table, jj: (bits, table[jj][1]) if kk == 0 else (table[jj][0], bits)}
+                        assert factorization_basis_ok(fac, planted) == _basis_ok_gap_by_gap(fac, planted), (
+                            i, j, kind, jj, kk
+                        )
+    assert failures == EXPECTED_BASIS_FAILURES
 
 
 def test_factorization_json_shape():

@@ -211,9 +211,8 @@ def test_target_scan_is_the_one_thue_morse_scan(monkeypatch):
     def faulty(order, offsets):  # lose the last position of one target
         table = dict(true_scans(order, offsets))
         if order == i and j in table:
-            a_mask = table[j][0].copy()
-            a_mask[np.flatnonzero(a_mask)[-1]] = False
-            table[j] = (a_mask, table[j][1])
+            a_scan = table[j][0]
+            table[j] = (a_scan ^ 1 << a_scan.bit_length() - 1, table[j][1])
         return table
 
     for module in list(sys.modules.values()):
@@ -427,13 +426,17 @@ def test_factorization_checks_share_one_target_scan(monkeypatch):
     # The sweep builds one table of direct scans per order, of tm_word(i-j)
     # and its flip in tm_word(i): the occurrence-set claims,
     # validate_smallest_factorization and factorization_basis_ok all read it.
+    # Beside it, the repetition scan reads the word's letters alone (no splits).
     built = []
-    true_build = thue_morse.occurrence_masks
-    monkeypatch.setattr(
-        thue_morse, "occurrence_masks", lambda text, *rest: built.append(text) or true_build(text, *rest)
-    )
+    true_build = thue_morse.occurrence_bits
+
+    def counting(text, splits, keep):
+        built.append((text, bool(splits)))
+        return true_build(text, splits, keep)
+
+    monkeypatch.setattr(thue_morse, "occurrence_bits", counting)
     assert verify_thue_morse(9).all_passed()
-    assert built == [tm_word(i) for i in range(5, 10)]
+    assert built == [(tm_word(i), table) for i in range(5, 10) for table in (True, False)]
     table = thue_morse.target_scans(9, range(9))
     for j, kind in [(0, "A"), (3, "A"), (3, "B"), (7, "B")]:
         built.clear()
@@ -447,9 +450,9 @@ def test_fibonacci_claims_share_one_theta_scan(monkeypatch):
     # lemmas scan only for what the table does not hold: the word in its
     # square, the core block and the stem (fib_word(3) at order 7).
     built, found = [], []
-    true_build, true_find = fibonacci.occurrence_masks, fibonacci.find_occurrences
+    true_build, true_find = fibonacci.occurrence_bits, fibonacci.find_occurrences
     monkeypatch.setattr(
-        fibonacci, "occurrence_masks", lambda text, *rest: built.append(text) or true_build(text, *rest)
+        fibonacci, "occurrence_bits", lambda text, *rest: built.append(text) or true_build(text, *rest)
     )
     monkeypatch.setattr(
         fibonacci, "find_occurrences", lambda pattern, text: found.append((pattern, text)) or true_find(pattern, text)
@@ -497,17 +500,29 @@ print(claim.passed, len(word), tracemalloc.get_traced_memory()[1], time.perf_cou
 
 @pytest.mark.parametrize("family, i, per_offset", [("tm", 20, 2), ("fib", 30, 1)])
 def test_first_claim_holds_little_beside_its_mask_table(family, i, per_offset):
-    # The first claim builds the order's scan table, one mask of the word's
-    # length per target and offset (a target and its flip for Thue-Morse),
-    # and the recurrence steps over bit sets. Measured in fresh processes,
-    # words built before tracing starts: peaks of 1.5 (tm 20) and 1.1
-    # (fib 30) times the masks, in 0.05 s under tracing. Position tuples
-    # needed 4.5 and 4.9 times the masks, and 1.0 and 1.4 s.
+    # The first claim builds the order's scan table, one bit set per target
+    # and offset (a target and its flip for Thue-Morse), and the recurrence
+    # steps over bit sets. The bound is twice what the table took when it
+    # held one mask of the word's length, a byte per letter, per target and
+    # offset. Measured in fresh processes, words built before tracing starts:
+    # peaks of 0.19 (tm 20) and 0.39 (fib 30) times those masks, in 0.02 s
+    # under tracing. The masks themselves peaked at 1.1 times their size, and
+    # position tuples needed 4.5 and 4.9 times it, and 1.0 and 1.4 s.
     probe = [sys.executable, "-c", _FIRST_CLAIM_PROBE, family, str(i)]
     passed, length, peak, seconds = subprocess.run(probe, capture_output=True, text=True, check=True).stdout.split()
     assert passed == "True"
     assert int(peak) < 2 * per_offset * i * int(length), (int(peak), int(length))
     assert float(seconds) < 0.5
+
+
+def test_first_claim_at_tm_22_holds_a_few_word_lengths():
+    # With the scans on bit sets the first claim at tm 22 peaked at 8.0 bytes
+    # per letter (16.1 MB, fresh process, words built before tracing starts);
+    # with one numpy mask per target and offset it took 47 (94.1 MB).
+    probe = [sys.executable, "-c", _FIRST_CLAIM_PROBE, "tm", "22"]
+    passed, length, peak, seconds = subprocess.run(probe, capture_output=True, text=True, check=True).stdout.split()
+    assert passed == "True"
+    assert int(peak) < 16 * int(length), (int(peak), int(length))
 
 
 def test_no_recurrence_state_outlives_a_call(monkeypatch):
@@ -525,17 +540,17 @@ def test_no_recurrence_state_outlives_a_call(monkeypatch):
 def test_each_union_and_repetition_scan_is_computed_once(monkeypatch):
     steps = [*fibonacci.theta_steps(12), *(step for pair in thue_morse.ab_steps(10) for step in pair)]
     assert all(step.union() is step.union() for step in steps)
-    true_frombuffer = thue_morse.np.frombuffer
-    encoded = []
+    true_build = thue_morse.occurrence_bits
+    read = []
 
-    def counting(*args, **kwargs):
-        encoded.append(args[0])
-        return true_frombuffer(*args, **kwargs)
+    def counting(text, *rest):  # the repetition scan reads the letters' bit sets from here
+        read.append(text)
+        return true_build(text, *rest)
 
-    monkeypatch.setattr(thue_morse.np, "frombuffer", counting)
+    monkeypatch.setattr(thue_morse, "occurrence_bits", counting)
     claims = thue_morse.check_tm_identities(12)
     assert claims["overlap_free"].passed and claims["cube_free"].passed
-    assert encoded == [tm_word(12).encode()]
+    assert read == [tm_word(12)]
 
 
 @pytest.mark.parametrize("planted, verdicts", [("overlap_free", (False, True)), ("cube_free", (True, False))])
