@@ -25,11 +25,11 @@ from .reports import ClaimResult, same_word
 from .words import FIB_MAX_ORDER, delta, fib_length, fib_length_ext, fib_word, q_word
 
 
-def _check_theta_domain(i: int, j: int) -> None:
+def _check_theta_domain(caller: str, i: int, j: int) -> None:
     if not 6 <= i <= FIB_MAX_ORDER:
-        raise ValueError(f"theta_set: order {i} not in 6..{FIB_MAX_ORDER}")
+        raise ValueError(f"{caller}: order {i} not in 6..{FIB_MAX_ORDER}")
     if not 0 <= j <= i - 4:
-        raise ValueError(f"theta_set: offset {j} out of domain for order {i}")
+        raise ValueError(f"{caller}: offset {j} out of domain for order {i}")
 
 
 def theta_steps(i: int) -> Iterator[Step]:
@@ -39,7 +39,7 @@ def theta_steps(i: int) -> Iterator[Step]:
     previous level, the level before it (empty before offset 0) shifted by
     fib_length(i-j), and the rightmost position alone at even offsets
     (empty at odd ones); no two pieces meet. Only two levels are kept."""
-    _check_theta_domain(i, 0)
+    _check_theta_domain("theta_steps", i, 0)
 
     def steps() -> Iterator[Step]:
         back, prev = 0, 1 << 1
@@ -56,7 +56,7 @@ def theta_steps(i: int) -> Iterator[Step]:
 def theta_set(i: int, j: int) -> PositionSet:
     """Starting positions of fib_word(i-j) inside fib_word(i), 0 <= j <= i-4:
     the union of the recurrence step at offset j, built from offset 0 up."""
-    _check_theta_domain(i, j)
+    _check_theta_domain("theta_set", i, j)
     return bit_positions(next(islice(theta_steps(i), j, None)).union())
 
 
@@ -73,7 +73,7 @@ def theta_scans(i: int, offsets: range) -> dict[int, int]:
 def theta_max_position(i: int, j: int) -> int:
     """Closed form for the largest element of theta_set(i, j); the reference
     length is fib_length(i-j) at even offsets and fib_length(i-j+1) at odd."""
-    _check_theta_domain(i, j)
+    _check_theta_domain("theta_max_position", i, j)
     ref = i - j if j % 2 == 0 else i - (j - 1)
     return fib_length(i) - fib_length(ref) + 1
 

@@ -20,13 +20,13 @@ Two independent enumerators are provided and must agree everywhere:
   suffix, the maximum common prefix with any other suffix (adjacent maxima
   of the LCP array) and reads the net occurrences' bounds off that table
   (``_net_bounds``) without any substring scanning, one record per bound.
-  Texts of at most ``SHORT_TEXT`` letters key each suffix by one integer
-  (``_suffix_keys``, a byte per letter if ASCII): one sort by key gives the
-  suffix array, the XOR of adjacent keys each LCP, and one pass goes from
-  that table to the records, which share one Occurrence per span. Longer
-  texts use numpy throughout: prefix doubling for the suffix array, the LCP
-  by binary lifting over the rank arrays of the doubling rounds, and the
-  selection of net-occurrence starts (see ``_repeated_prefix``).
+  An ASCII text of at most ``SHORT_TEXT`` letters keys each suffix by one
+  integer, a byte per letter (``_suffix_keys``): one sort by key gives the
+  suffix order, the XOR of adjacent keys each LCP, and one pass goes from
+  that table to the records. Every other text, of any length and code
+  point, uses numpy throughout: prefix doubling for the suffix order, the
+  LCP by binary lifting over the rank arrays of the doubling rounds, and
+  the selection of net-occurrence starts (see ``_repeated_prefix``).
   ``net_frequency`` counts the bounds and builds no record.
 """
 
@@ -59,10 +59,11 @@ class NetOccurrenceRecord:
         }
 
 
-# Longest text that the indexed engine handles in plain Python, on integer
-# suffix keys (``_suffix_keys``); longer texts go through numpy. Timed per call
-# with each path forced, on random two-letter texts, the engine's two paths tie
-# at 256 ASCII letters (about 190 us); on other letters numpy wins from 150.
+# Longest ASCII text that the indexed engine handles on byte-wide suffix keys
+# (``_suffix_keys``); other texts use numpy. Per call, random two-letter texts
+# (2-vCPU x86_64, Python 3.11.7, numpy 2.4.6): the paths tie at 256 ASCII letters
+# (about 190 us); 一/丁 texts take 55, 84, 110, 175 us on numpy at 16, 64, 128,
+# 256 letters, where 32-bit suffix keys would take 13, 49, 116, 297.
 SHORT_TEXT = 256
 
 
@@ -140,38 +141,27 @@ def net_occurrences_bruteforce(text: str) -> list[NetOccurrenceRecord]:
         s0, length = last + 1, e - last - 1
 
 
-def _suffix_keys(text: str) -> tuple[list[int], int]:
-    """One integer per suffix whose order is the suffixes' order, and the
-    digit width w in bits, for texts of at most SHORT_TEXT letters.
+def _suffix_keys(text: str) -> list[int]:
+    """One integer per suffix whose order is the suffixes' order, for an
+    ASCII text of at most SHORT_TEXT letters.
 
-    Each letter is one w-bit digit holding its code point + 1, so no digit
-    is 0: w = 8 for an ASCII text (digits 1-128), else 32. Key i is the
-    suffix at i left-aligned in n digits, zero past its end. The first digit
-    where two keys differ is where their suffixes differ, and a proper
-    prefix has a 0 there against a letter's digit, so integer order is
-    suffix order. Two suffixes share their first
-    ``(w * n - (key_a ^ key_b).bit_length()) // w`` letters.
+    Each letter is one byte holding its code point + 1 (1-128), so no digit
+    is 0. Key i is the suffix at i left-aligned in n bytes, zero past its
+    end. The first byte where two keys differ is where their suffixes
+    differ, and a proper prefix has a 0 there against a letter's digit, so
+    integer order is suffix order. Two suffixes share their first
+    ``(8 * n - (key_a ^ key_b).bit_length()) // 8`` letters.
     """
-    codec, one, w = ("ascii", b"\1", 8) if text.isascii() else ("utf-32-be", b"\0\0\0\1", 32)
     n = len(text)
-    x = int.from_bytes(text.encode(codec), "big") + int.from_bytes(one * n, "big")
-    mask = (1 << w * n) - 1
-    return [(x << i) & mask for i in range(0, w * n, w)], w
+    x = int.from_bytes(text.encode("ascii"), "big") + int.from_bytes(b"\1" * n, "big")
+    mask = (1 << 8 * n) - 1
+    return [(x << i) & mask for i in range(0, 8 * n, 8)]
 
 
 def suffix_array(text: str) -> list[int]:
-    """Suffix array: the 0-based suffix starts in lexicographic order.
-
-    Texts of at most SHORT_TEXT letters sort the starts by their integer
-    suffix keys (``_suffix_keys``, of the text's own digit width), the order
-    ``repeated_prefix_table`` reads too. Longer texts use numpy prefix
-    doubling (``_doubling``). The engine does not call it.
-    """
-    n = len(text)
-    if n <= SHORT_TEXT:
-        keys, _ = _suffix_keys(text)
-        return sorted(range(n), key=keys.__getitem__)
-    return _doubling(text)[0].tolist()
+    """Suffix array: the 0-based suffix starts in lexicographic order, by
+    numpy prefix doubling (``_doubling``); the engine does not call it."""
+    return _doubling(text)[0].tolist() if text else []
 
 
 def _doubling(text: str) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -223,9 +213,7 @@ def lcp_array(text: str, sa: list[int]) -> list[int]:
     """lcp[r] = longest common prefix of sa[r-1] and sa[r] (lcp[0] = 0).
 
     Kasai's linear pass, kept as the definitional LCP of a suffix array; the
-    engine does not call it. Short texts take each LCP from the XOR of two
-    suffix keys and their digit width (``repeated_prefix_table``), longer
-    ones from the doubling ranks (``_repeated_prefix``).
+    engine does not call it.
     """
     n = len(text)
     rank = [0] * n
@@ -248,7 +236,7 @@ def lcp_array(text: str, sa: list[int]) -> list[int]:
 
 
 def _repeated_prefix(text: str) -> np.ndarray:
-    """``repeated_prefix_table`` for texts longer than SHORT_TEXT, as an array.
+    """``repeated_prefix_table`` off the key path, as an array.
 
     The LCP of adjacent suffixes comes from the doubling ranks by binary
     lifting: from the top level down, a pair whose common prefix is known to
@@ -272,30 +260,39 @@ def _repeated_prefix(text: str) -> np.ndarray:
     return table
 
 
-def repeated_prefix_table(text: str) -> list[int]:
-    """For each 0-based start s, the length of the longest prefix of the
-    suffix at s that also occurs elsewhere in the text: the larger LCP of
-    its suffix with the two neighbours in the suffix array. Texts of at
-    most SHORT_TEXT letters sort the starts once by their suffix keys
-    (``_suffix_keys``) and take each adjacent LCP from the XOR of two keys
-    and the digit width; longer ones derive the LCP from the doubling ranks
-    in numpy."""
+def _keyed(text: str) -> bool:
+    """The engine's one choice of path: suffix keys, or numpy for the rest."""
+    return len(text) <= SHORT_TEXT and text.isascii()
+
+
+def _keyed_prefix(text: str) -> list[int]:
+    """``repeated_prefix_table`` on the key path: one sort of the starts by
+    their suffix keys (``_suffix_keys``), and each adjacent LCP from the XOR
+    of two keys."""
     n = len(text)
-    if n > SHORT_TEXT:
-        return _repeated_prefix(text).tolist()
     if not n:
         return []
-    keys, w = _suffix_keys(text)
+    keys = _suffix_keys(text)
     sa = sorted(range(n), key=keys.__getitem__)
-    width = w * n
+    width = 8 * n
     table = [0] * n
     s, h = sa[0], 0  # a suffix in order, and its LCP with the one before it
     for t in sa[1:]:
-        lcp = (width - (keys[s] ^ keys[t]).bit_length()) // w
+        lcp = (width - (keys[s] ^ keys[t]).bit_length()) // 8
         table[s] = lcp if lcp > h else h
         s, h = t, lcp
     table[s] = h
     return table
+
+
+def repeated_prefix_table(text: str) -> list[int]:
+    """For each 0-based start s, the length of the longest prefix of the
+    suffix at s that also occurs elsewhere in the text: the larger LCP of
+    its suffix with the two neighbours in the suffix array. An ASCII text
+    of at most SHORT_TEXT letters reads it off its suffix keys
+    (``_keyed_prefix``), every other text off the numpy doubling ranks
+    (``_repeated_prefix``)."""
+    return _keyed_prefix(text) if _keyed(text) else _repeated_prefix(text).tolist()
 
 
 def _net_bounds(text: str) -> Iterable[tuple[int, int]]:
@@ -306,18 +303,19 @@ def _net_bounds(text: str) -> Iterable[tuple[int, int]]:
     With R[s] the longest repeated-substring length at start s, the net
     occurrences are the (s, s+R[s]) with R[s] >= 1 whose left extension is
     unique, i.e. s = 0 or R[s-1] <= R[s], since the left extension is the
-    length-(R[s]+1) string starting one position earlier. Above SHORT_TEXT
-    letters the selection runs in numpy on ``_repeated_prefix``; at or
-    below it, lazily in ``_short_bounds``, which carries the previous R (0
-    before the first start): the caller's loop is the only pass over R.
+    length-(R[s]+1) string starting one position earlier. On the key path
+    (``_keyed``) the selection runs lazily in ``_short_bounds``, which
+    carries the previous R (0 before the first start): the caller's loop is
+    the only pass over R. Every other text selects in numpy on
+    ``_repeated_prefix``.
     """
-    if len(text) > SHORT_TEXT:
-        table = _repeated_prefix(text)
-        keep = table > 0
-        keep[1:] &= table[:-1] <= table[1:]
-        starts = np.flatnonzero(keep)
-        return zip(starts.tolist(), (starts + table[starts]).tolist())
-    return _short_bounds(repeated_prefix_table(text))
+    if _keyed(text):
+        return _short_bounds(_keyed_prefix(text))
+    table = _repeated_prefix(text)
+    keep = table > 0
+    keep[1:] &= table[:-1] <= table[1:]
+    starts = np.flatnonzero(keep)
+    return zip(starts.tolist(), (starts + table[starts]).tolist())
 
 
 def _short_bounds(table: list[int]) -> Iterator[tuple[int, int]]:
@@ -346,7 +344,7 @@ def net_occurrences_indexed(text: str) -> list[NetOccurrenceRecord]:
     """Index-based enumerator; must match the brute-force oracle exactly.
 
     One record per bound of ``_net_bounds``, built as the bound is read
-    (for a short text, as it is selected from R). A text of at most
+    (on the key path, as it is selected from R). A text of at most
     SHORT_TEXT letters takes each record's ``occurrence`` from a shared
     table, so the same span gives the same Occurrence object in every such
     text and call; longer texts build fresh ones. Each record is filled slot

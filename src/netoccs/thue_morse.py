@@ -59,12 +59,12 @@ class OccurrenceSets:
     b_set: PositionSet
 
 
-def _check_ab_domain(i: int, j: int) -> None:
+def _check_ab_domain(caller: str, i: int, j: int) -> None:
     if not 2 <= i <= TM_MAX_ORDER:
-        raise ValueError(f"ab_sets: order {i} not in 2..{TM_MAX_ORDER}")
+        raise ValueError(f"{caller}: order {i} not in 2..{TM_MAX_ORDER}")
     if not 0 <= j <= i - 2:
         raise ValueError(
-            f"ab_sets: offset {j} out of the recurrence domain for order {i}; "
+            f"{caller}: offset {j} out of the recurrence domain for order {i}; "
             "scan the word directly for larger offsets"
         )
 
@@ -78,7 +78,7 @@ def ab_steps(i: int) -> Iterator[tuple[Step, Step]]:
     the overlap of the first two comes from three levels back. Levels
     before offset 0 are empty; only the last three are kept, each as the
     (a, b) pair of bit sets."""
-    _check_ab_domain(i, 0)
+    _check_ab_domain("ab_steps", i, 0)
 
     def steps() -> Iterator[tuple[Step, Step]]:
         deep = back = (0, 0)
@@ -105,7 +105,7 @@ def ab_sets(i: int, j: int) -> OccurrenceSets:
     """Occurrence positions of tm_word(i-j) / flipped tm_word(i-j) inside
     tm_word(i), for 0 <= j <= i-2: the unions of the recurrence steps at
     offset j, built from offset 0 up."""
-    _check_ab_domain(i, j)
+    _check_ab_domain("ab_sets", i, j)
     a_step, b_step = next(islice(ab_steps(i), j, None))
     return OccurrenceSets(bit_positions(a_step.union()), bit_positions(b_step.union()))
 

@@ -154,9 +154,10 @@ def _engines_agree(word: str, records: list[NetOccurrenceRecord]) -> tuple[str, 
 def _fib_claims(i: int) -> _Claims:
     word = fib_word(i)
     scans = theta_scans(i, range(i))
-    steps = list(theta_steps(i))
-    yield "theta_sets_match_oracle", _offset_table(range(i - 3), lambda j: steps[j].union() == scans[j])
-    yield "theta_step_clauses", _offset_table(range(i - 3), lambda j: theta_step_ok(i, j, steps[j], scans[j]))
+    steps = enumerate(theta_steps(i))
+    verdicts = [(step.union() == scans[j], theta_step_ok(i, j, step, scans[j])) for j, step in steps]
+    yield "theta_sets_match_oracle", _offset_table(range(i - 3), lambda j: verdicts[j][0])
+    yield "theta_step_clauses", _offset_table(range(i - 3), lambda j: verdicts[j][1])
     yield "theta_counts_match_oracle", _offset_table(range(i), lambda j: theta_count(i, j) == scans[j].bit_count())
     yield "identities", _all_pass(check_fib_identities(i))
     yield "lemmas", _all_pass(check_fib_lemmas(i, scans))

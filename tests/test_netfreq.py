@@ -36,8 +36,8 @@ LONG_TEXTS = [
     "".join(_rng.choice("ab") for _ in range(_rng.randint(1, 2000))) for _ in range(12)
 ] + ["a" * 500, "ab" * 250, "aab" * 200]
 
-# Texts on both sides of the length at which suffix_array switches from
-# integer suffix keys to numpy prefix doubling, keyed by test id.
+# Texts on both sides of SHORT_TEXT, the longest ASCII text that the indexed
+# engine reads off suffix keys (longer ones take numpy), keyed by test id.
 _BOUNDARY_LENGTHS = (SHORT_TEXT - 1, SHORT_TEXT, SHORT_TEXT + 1, 3000)
 SA_TEXTS = {
     **{f"random-{n}": "".join(_rng.choice("ab") for _ in range(n)) for n in _BOUNDARY_LENGTHS},
@@ -55,11 +55,11 @@ SA_TEXTS.update(
     }
 )
 
-# Texts where the short path's integer suffix keys can break: the zero code
-# point (its key digit is 1, never the 0 that ends a suffix), the largest
-# code point (its digit fills 32 bits), ASCII mixed with astral letters, and
-# on 8-bit digits "\x7f" (its digit 128 fills the byte) and one non-ASCII
-# letter at the end of an ASCII text (which takes the text to 32 bits).
+# Texts at the edges of the engine's two paths: on the suffix keys, the zero
+# code point (its key digit is 1, never the 0 that ends a suffix) and "\x7f"
+# (its digit 128 fills the byte); on numpy, the largest code point, ASCII
+# mixed with astral letters, and one non-ASCII letter at the end of an ASCII
+# text (which sends a short text to numpy).
 _KEY_LETTERS = ("\0", "a", "\U0001f600", "\U0010ffff")
 _rng_keys = random.Random(20261020)
 KEY_EDGE_TEXTS = {
@@ -496,10 +496,9 @@ _reference_net_occurrences = functools.cache(reference.net_occurrences)
 def test_suffix_keys_order_and_xor_lcp_are_the_suffixes():
     for text in KEY_EDGE_TEXTS.values():
         n = len(text)
-        if n > 20:
+        if n > 20 or not text.isascii():
             continue
-        keys, width = netfreq._suffix_keys(text)
-        assert width == (8 if text.isascii() else 32), text
+        keys = netfreq._suffix_keys(text)
         for i in range(n):
             for j in range(n):
                 x, y = text[i:], text[j:]
@@ -508,7 +507,28 @@ def test_suffix_keys_order_and_xor_lcp_are_the_suffixes():
                     common += 1
                 assert (keys[i] < keys[j]) == (x < y), (text, i, j)
                 if i != j:
-                    assert (width * n - (keys[i] ^ keys[j]).bit_length()) // width == common, (text, i, j)
+                    assert (8 * n - (keys[i] ^ keys[j]).bit_length()) // 8 == common, (text, i, j)
+
+
+_NON_ASCII_LENGTHS = (*range(1, 21), 150, SHORT_TEXT, SHORT_TEXT + 1)
+_rng_wide = random.Random(20261022)
+NON_ASCII_TEXTS = {
+    f"{name}-{n}": "".join(_rng_wide.choice(letters) for _ in range(n))
+    for name, letters in (("cjk", "\u4e00\u4e01"), ("astral", ("\U0001f600", "\U0010ffff")))
+    for n in _NON_ASCII_LENGTHS
+}
+
+
+@pytest.mark.parametrize("text", list(NON_ASCII_TEXTS.values()), ids=list(NON_ASCII_TEXTS))
+def test_non_ascii_texts_take_numpy_and_match_literal_reference(text, monkeypatch):
+    # No non-ASCII text builds suffix keys, at any length; the engine still
+    # gives the literal reference's net occurrences.
+    def refuse(text):
+        raise AssertionError(f"suffix keys built for a non-ASCII text of {len(text)} letters")
+
+    monkeypatch.setattr(netfreq, "_suffix_keys", refuse)
+    assert occ_pairs(net_occurrences_indexed(text)) == _reference_net_occurrences(text)
+    assert repeated_prefix_table(text) == repeated_prefix_definition(text)
 
 
 # suffix_array and repeated_prefix_table meet these texts in SA_TEXTS.

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from netoccs.fibonacci import theta_set, theta_steps
+from netoccs.fibonacci import theta_max_position, theta_set, theta_steps
 from netoccs.netfreq import net_occurrences_bruteforce
 from netoccs.occurrences import Occurrence, bit_positions, find_occurrences
 from netoccs.thue_morse import (
@@ -83,6 +83,21 @@ def test_recurrences_refuse_orders_above_the_generator_cap():
             ab_sets(order, 1)
         with pytest.raises(ValueError, match=f"{TM_MAX_ORDER}"):
             smallest_factorization(order, order - 2, "A")
+
+
+_DOMAIN_ERRORS = (
+    (theta_steps, (5,)),
+    (theta_set, (7, 4)),
+    (theta_max_position, (8, 7)),
+    (ab_steps, (1,)),
+    (ab_sets, (5, 4)),
+)
+
+
+@pytest.mark.parametrize("call, args", [pytest.param(*case, id=case[0].__name__) for case in _DOMAIN_ERRORS])
+def test_domain_errors_name_the_function_that_raised_them(call, args):
+    with pytest.raises(ValueError, match=f"^{call.__name__}: "):
+        call(*args)
 
 
 @pytest.mark.parametrize("i", range(2, 11))

@@ -501,13 +501,13 @@ print(claim.passed, len(word), tracemalloc.get_traced_memory()[1], time.perf_cou
 @pytest.mark.parametrize("family, i, per_offset", [("tm", 20, 2), ("fib", 30, 1)])
 def test_first_claim_holds_little_beside_its_mask_table(family, i, per_offset):
     # The first claim builds the order's scan table, one bit set per target
-    # and offset (a target and its flip for Thue-Morse), and the recurrence
-    # steps over bit sets. The bound is twice what the table took when it
-    # held one mask of the word's length, a byte per letter, per target and
-    # offset. Measured in fresh processes, words built before tracing starts:
-    # peaks of 0.19 (tm 20) and 0.39 (fib 30) times those masks, in 0.02 s
-    # under tracing. The masks themselves peaked at 1.1 times their size, and
-    # position tuples needed 4.5 and 4.9 times it, and 1.0 and 1.4 s.
+    # and offset (a target and its flip for Thue-Morse), and checks the
+    # recurrence steps against it in one pass. The bound is twice the size of
+    # a table of one byte-per-letter mask of the word per target and offset,
+    # which the scans held before bit sets. Measured in fresh processes,
+    # words built before tracing starts: peaks of 0.19 (tm 20) and 0.16
+    # (fib 30) times that size, in 0.02 s under tracing. The masks
+    # themselves peaked at 1.1 times it, and position tuples at 4.5 and 4.9.
     probe = [sys.executable, "-c", _FIRST_CLAIM_PROBE, family, str(i)]
     passed, length, peak, seconds = subprocess.run(probe, capture_output=True, text=True, check=True).stdout.split()
     assert passed == "True"
@@ -523,6 +523,16 @@ def test_first_claim_at_tm_22_holds_a_few_word_lengths():
     passed, length, peak, seconds = subprocess.run(probe, capture_output=True, text=True, check=True).stdout.split()
     assert passed == "True"
     assert int(peak) < 16 * int(length), (int(peak), int(length))
+
+
+def test_first_claim_at_fib_30_reads_its_steps_in_one_pass():
+    # Reading theta_steps in one pass, the first claim at fib 30 peaked at 4.7
+    # bytes per letter (3.9 MB, fresh process, words built before tracing
+    # starts); with every step held in a list it took 11.6 (9.6 MB).
+    probe = [sys.executable, "-c", _FIRST_CLAIM_PROBE, "fib", "30"]
+    passed, length, peak, seconds = subprocess.run(probe, capture_output=True, text=True, check=True).stdout.split()
+    assert passed == "True"
+    assert int(peak) < 6 * int(length), (int(peak), int(length))
 
 
 def test_no_recurrence_state_outlives_a_call(monkeypatch):
