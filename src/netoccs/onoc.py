@@ -9,8 +9,8 @@ such bridging super-occurrence proves a cover complete.
 
 This module defines each of those facts once: ``is_onoc`` the cover,
 ``bnso_set`` the BNSOs, ``widen`` the widened bounds and ``bridging`` the
-widened containment. It runs no net-occurrence engine: ``greedy_onoc`` and
-``prove_completeness`` take the text's net occurrences from their caller.
+widened containment. It runs no net-occurrence engine and no probe: each
+function that needs the text's net occurrences takes them from its caller.
 The literal route, which enumerates every bridging super-occurrence
 rectangle, lives with the tests in ``tests/reference.py`` and shares no
 code with this one.
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .occurrences import Occurrence, is_net_occurrence
+from .occurrences import Occurrence
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,9 @@ class CompletenessReport:
         }
 
 
-def is_onoc(text: str, candidate: Sequence[Occurrence]) -> bool:
-    """True iff every member is a net occurrence and the chain covers the
-    text: first start 1, last end n, each start within the previous member."""
+def is_onoc(text: str, candidate: Sequence[Occurrence], net_occs: Iterable[Occurrence]) -> bool:
+    """True iff every member is in ``net_occs``, the text's net occurrences, and the chain
+    covers the text: first start 1, last end n, each start within the previous member."""
     if not candidate:
         raise ValueError("is_onoc: empty candidate cover")
     n = len(text)
@@ -60,7 +60,7 @@ def is_onoc(text: str, candidate: Sequence[Occurrence]) -> bool:
         # members strictly ordered (no duplicates), each starting inside the previous one
         if not prev.start < cur.start <= prev.end:
             return False
-    return all(is_net_occurrence(text, occ) for occ in candidate)
+    return set(candidate) <= set(net_occs)
 
 
 def bnso_set(members: Sequence[Occurrence]) -> tuple[Occurrence, ...]:
@@ -98,7 +98,7 @@ def prove_completeness(
     without the quadratic candidate scan.
     """
     try:
-        valid = is_onoc(text, cover)
+        valid = is_onoc(text, cover, net_occs)
     except ValueError:  # empty cover, or a member past the end of the text
         valid = False
     oracle = tuple(sorted(net_occs))

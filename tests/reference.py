@@ -4,7 +4,14 @@ Everything here walks the text character by character with no search
 shortcuts, so it is only suitable for short inputs. Tests compare the
 package's two engines against these routes on small cases; keeping the
 routes independent is the point, so do not "optimize" this module.
+
+``net_occurrences`` still tests a candidate at every start, letter by
+letter, but stops counting at its second occurrence. That keeps it exact:
+the definition asks only whether a string is repeated (two or more
+occurrences) or unique (exactly one).
 """
+
+from itertools import islice
 
 
 def occurrences(pattern: str, text: str) -> list[int]:
@@ -16,16 +23,23 @@ def occurrences(pattern: str, text: str) -> list[int]:
     ]
 
 
+def _count_to_two(pattern: str, text: str) -> int:
+    """The pattern's occurrences in the text, 0, 1 or 2 for two or more."""
+    m = len(pattern)
+    starts = (s for s in range(len(text) - m + 1) if text[s : s + m] == pattern)
+    return len(list(islice(starts, 2)))
+
+
 def net_occurrences(text: str) -> list[tuple[int, int]]:
     n = len(text)
     out = []
     for s in range(1, n + 1):
         for e in range(s, n + 1):
-            if len(occurrences(text[s - 1 : e], text)) < 2:
+            if _count_to_two(text[s - 1 : e], text) < 2:
                 continue
-            if s > 1 and len(occurrences(text[s - 2 : e], text)) != 1:
+            if s > 1 and _count_to_two(text[s - 2 : e], text) != 1:
                 continue
-            if e < n and len(occurrences(text[s - 1 : e + 1], text)) != 1:
+            if e < n and _count_to_two(text[s - 1 : e + 1], text) != 1:
                 continue
             out.append((s, e))
     return out

@@ -28,26 +28,33 @@ def fib7_cover():
 
 
 def test_is_onoc_on_fib7():
-    assert is_onoc(fib_word(7), fib7_cover())
+    assert is_onoc(fib_word(7), fib7_cover(), net_occs(fib_word(7)))
 
 
 def test_is_onoc_rejects_broken_chains():
     text = fib_word(7)
+    occs = net_occs(text)
     # gap between members
-    assert not is_onoc(text, [Occurrence(1, 6), Occurrence(9, 13)])
+    assert not is_onoc(text, [Occurrence(1, 6), Occurrence(9, 13)], occs)
     # does not start at 1
-    assert not is_onoc(text, [Occurrence(6, 11), Occurrence(9, 13)])
+    assert not is_onoc(text, [Occurrence(6, 11), Occurrence(9, 13)], occs)
     # does not reach the end
-    assert not is_onoc(text, [Occurrence(1, 6), Occurrence(6, 11)])
+    assert not is_onoc(text, [Occurrence(1, 6), Occurrence(6, 11)], occs)
     # member is not a net occurrence
-    assert not is_onoc(text, [Occurrence(1, 7), Occurrence(6, 11), Occurrence(9, 13)])
+    assert not is_onoc(text, [Occurrence(1, 7), Occurrence(6, 11), Occurrence(9, 13)], occs)
+
+
+def test_is_onoc_takes_membership_from_the_given_net_occurrences():
+    text, cover = fib_word(7), fib7_cover()
+    assert is_onoc(text, cover, cover)
+    assert not is_onoc(text, cover, cover[1:])
 
 
 def test_is_onoc_domain_errors():
     with pytest.raises(ValueError):
-        is_onoc(fib_word(7), [])
+        is_onoc(fib_word(7), [], net_occs(fib_word(7)))
     with pytest.raises(ValueError):
-        is_onoc("abab", [Occurrence(1, 9)])
+        is_onoc("abab", [Occurrence(1, 9)], net_occs("abab"))
 
 
 def test_bnso_set_fib7():
@@ -100,7 +107,7 @@ def test_prove_completeness_reports_invalid_cover_without_raising():
 
 def test_witness_text_has_expected_net_occurrences():
     assert net_occs(WITNESS_TEXT) == sorted(WITNESS_COVER + [WITNESS_OUTSIDER])
-    assert is_onoc(WITNESS_TEXT, WITNESS_COVER)
+    assert is_onoc(WITNESS_TEXT, WITNESS_COVER, net_occs(WITNESS_TEXT))
 
 
 def test_witness_outsider_is_flagged_by_completeness_check():
